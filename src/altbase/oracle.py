@@ -12,7 +12,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain, cycle, islice
+from operator import countOf, itemgetter
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .core import EPS_SNAP, AlternateBase, StatePoint
 from .errors import DomainError, SearchTooLarge
@@ -28,9 +32,13 @@ RNG_ALGORITHM = "splitmix64"
 # maps are stochastically stable, so a perturbation at the last mantissa bit
 # leaves the invariant statistics unchanged far below the tolerances used
 # here while restoring generic behavior.  The dither stream is seeded from
-# the bit pattern of the starting point, keeping every run reproducible.
+# the bit pattern of the starting point, keeping every run reproducible.  It
+# is generated in blocks of _DITHER_BLOCK draws with numpy uint64 arithmetic
+# and equals the SplitMix64 uniform(-DITHER_AMPLITUDE, DITHER_AMPLITUDE)
+# stream bit for bit.
 DITHER_AMPLITUDE = 2.0**-52
 _DITHER_SALT = 0xD1B54A32D192ED03
+_DITHER_BLOCK = 4096
 
 
 class SplitMix64:
@@ -41,15 +49,18 @@ class SplitMix64:
     """
 
     _MASK = (1 << 64) - 1
+    _GAMMA = 0x9E3779B97F4A7C15
+    _MIX1 = 0xBF58476D1CE4E5B9
+    _MIX2 = 0x94D049BB133111EB
 
     def __init__(self, seed: int):
         self._state = seed & self._MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
+        self._state = (self._state + self._GAMMA) & self._MASK
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        z = ((z ^ (z >> 30)) * self._MIX1) & self._MASK
+        z = ((z ^ (z >> 27)) * self._MIX2) & self._MASK
         return z ^ (z >> 31)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -150,71 +161,54 @@ def lex_least(base: AlternateBase, x: float, n: int) -> TupleSearchResult:
     return TupleSearchResult(tuple(digits), values[n])
 
 
-def _enumerate_naive(base: AlternateBase, n: int):
-    """All digit tuples with their values, in lexicographic order."""
-    _check_enumeration_bound(base, n)
-    prods = _prefix_products(base, n)
-
-    def rec(k: int, prefix: tuple[int, ...], acc: float):
-        if k == n:
-            yield prefix, acc
-            return
-        for c in range(base.alphabet(k) + 1):
-            yield from rec(k + 1, prefix + (c,), acc + c / prods[k + 1])
-
-    yield from rec(0, (), 0.0)
+_U64 = np.uint64
+# counter offsets 1..B times the splitmix64 increment, wrapped mod 2**64
+_DITHER_OFFSETS = np.arange(1, _DITHER_BLOCK + 1, dtype=_U64) * _U64(SplitMix64._GAMMA)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def lex_greatest_naive(base: AlternateBase, x: float, n: int) -> TupleSearchResult:
-    best = None
-    for digits, v in _enumerate_naive(base, n):
-        if v <= x:
-            best = (digits, v)  # lex order of enumeration makes the last hit greatest
-    if best is None:
-        raise DomainError(f"no admissible tuple below x={x!r}")
-    return TupleSearchResult(*best)
+def _dither_blocks(seed: int) -> Iterator[list[float]]:
+    """Successive ``SplitMix64(seed).uniform(-DITHER_AMPLITUDE, DITHER_AMPLITUDE)``
+    draws, ``_DITHER_BLOCK`` at a time.
+
+    Array arithmetic on uint64 wraps modulo 2**64 like the masked Python
+    integers of :class:`SplitMix64`, and the float steps are the same IEEE
+    operations in the same order, so the draws are identical bit for bit.
+    """
+    lo, hi = -DITHER_AMPLITUDE, DITHER_AMPLITUDE
+    state = _U64(seed)
+    while True:
+        z = state + _DITHER_OFFSETS
+        state = z[-1]
+        z ^= z >> _U64(30)
+        z *= _U64(SplitMix64._MIX1)
+        z ^= z >> _U64(27)
+        z *= _U64(SplitMix64._MIX2)
+        z ^= z >> _U64(31)
+        yield (lo + (z >> _U64(11)) * 2.0**-53 * (hi - lo)).tolist()
 
 
-def lex_least_naive(base: AlternateBase, x: float, n: int) -> TupleSearchResult:
-    prods = _prefix_products(base, n)
-    tail = base.xsup(n) / prods[n]
-    for digits, v in _enumerate_naive(base, n):
-        if v + tail >= x:
-            return TupleSearchResult(digits, v)
-    raise DomainError(f"no admissible tuple reaching x={x!r}")
+def _greedy_orbit(base: AlternateBase, x0: float) -> Iterator[tuple[int, float, int]]:
+    """The dithered greedy orbit of (0, x0): ``(slot, x, digit)`` forever.
 
-
-def _dither_stream(x0: float) -> SplitMix64:
+    The restricted transformation on [0,1); each step's point is clamped
+    back into [0,1) after the dither is added.
+    """
     (bits,) = struct.unpack("<Q", struct.pack("<d", x0))
-    return SplitMix64(bits ^ _DITHER_SALT)
-
-
-def _greedy_orbit_digits(base: AlternateBase, x0: float, nsteps: int) -> list[int]:
-    # tight loop over the restricted transformation on [0,1), dithered
-    betas = base.betas
-    alph = base.alphabets
-    p = len(betas)
-    rng = _dither_stream(x0)
-    uniform = rng.uniform
+    dither = chain.from_iterable(_dither_blocks(bits ^ _DITHER_SALT))
+    slots = cycle(tuple(zip(range(base.p), base.betas, base.alphabets)))
     x = x0
-    i = 0
-    out = []
-    append = out.append
-    for _ in range(nsteps):
-        y = betas[i] * x
+    for (i, beta, top), u in zip(slots, dither):
+        y = beta * x
         d = int(y + EPS_SNAP)
-        if d > alph[i]:
-            d = alph[i]
-        x = y - d + uniform(-DITHER_AMPLITUDE, DITHER_AMPLITUDE)
+        if d > top:
+            d = top
+        yield i, x, d
+        x = y - d + u
         if x < 0.0:
             x = 0.0
         elif x >= 1.0:
-            x = math.nextafter(1.0, 0.0)
-        i += 1
-        if i == p:
-            i = 0
-        append(d)
-    return out
+            x = _BELOW_ONE
 
 
 def birkhoff_frequency(
@@ -238,11 +232,8 @@ def birkhoff_frequency(
         x0 = SplitMix64(seed).uniform()
     if not (0.0 <= x0 < 1.0):
         raise DomainError(f"starting point {x0!r} outside [0,1)")
-    count = 0
-    for d in _greedy_orbit_digits(base, x0, N):
-        if d == digit:
-            count += 1
-    return count / N
+    digits = map(itemgetter(2), islice(_greedy_orbit(base, x0), N))
+    return countOf(digits, digit) / N
 
 
 @dataclass(frozen=True)
@@ -265,6 +256,8 @@ def empirical_histogram(
     Collects the N values the greedy orbit of (0, x0) takes at steps
     congruent to ``slot`` modulo the period, binned uniformly.
     """
+    if N < 0:
+        raise DomainError("N must be non-negative")
     if not (0.0 <= x0 < 1.0):
         raise DomainError(f"starting point {x0!r} outside [0,1)")
     if bins < 1:
@@ -272,31 +265,10 @@ def empirical_histogram(
     if not (0 <= slot < base.p):
         raise DomainError(f"slot {slot} outside [0, {base.p})")
     counts = [0] * bins
-    betas = base.betas
-    alph = base.alphabets
-    p = len(betas)
-    rng = _dither_stream(x0)
-    uniform = rng.uniform
-    x = x0
-    i = 0
-    remaining = N
-    while remaining > 0:
-        if i == slot:
-            k = int(x * bins)
-            if k >= bins:
-                k = bins - 1
-            counts[k] += 1
-            remaining -= 1
-        y = betas[i] * x
-        d = int(y + EPS_SNAP)
-        if d > alph[i]:
-            d = alph[i]
-        x = y - d + uniform(-DITHER_AMPLITUDE, DITHER_AMPLITUDE)
-        if x < 0.0:
-            x = 0.0
-        elif x >= 1.0:
-            x = math.nextafter(1.0, 0.0)
-        i += 1
-        if i == p:
-            i = 0
+    p = base.p
+    for _, x, _ in islice(_greedy_orbit(base, x0), slot, slot + N * p, p):
+        k = int(x * bins)
+        if k >= bins:
+            k = bins - 1
+        counts[k] += 1
     return EmpiricalStats(tuple(counts), N, None, StatePoint(0, x0))

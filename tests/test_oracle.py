@@ -1,19 +1,29 @@
 import math
+import struct
+import warnings
+from itertools import chain, islice
 
 import pytest
 
 from altbase.core import greedy_expand, lazy_expand, new_base
-from altbase.errors import SearchTooLarge
+from altbase.errors import DomainError, SearchTooLarge
 from altbase.oracle import (
+    _DITHER_BLOCK,
+    DITHER_AMPLITUDE,
     SplitMix64,
+    _dither_blocks,
     birkhoff_frequency,
     empirical_histogram,
     lex_greatest,
-    lex_greatest_naive,
     lex_least,
+)
+from helpers import BASE13_BETAS, PHI, base13, random_base
+from reference import (
+    birkhoff_frequency_reference,
+    empirical_histogram_reference,
+    lex_greatest_naive,
     lex_least_naive,
 )
-from helpers import PHI, base13, random_base
 
 X5 = (1.0 + math.sqrt(5.0)) / 5.0
 
@@ -37,6 +47,20 @@ class TestSplitMix:
         r = SplitMix64(5)
         vals = {r.randint(1, 4) for _ in range(200)}
         assert vals == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 2**64 - 1, struct.unpack("<Q", struct.pack("<d", math.sqrt(2) - 1))[0]],
+        ids=["zero", "wraparound", "bits_sqrt2m1"],
+    )
+    def test_block_dither_equals_scalar_stream(self, seed):
+        n = 3 * _DITHER_BLOCK + 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocked = list(islice(chain.from_iterable(_dither_blocks(seed)), n))
+        r = SplitMix64(seed)
+        scalar = [r.uniform(-DITHER_AMPLITUDE, DITHER_AMPLITUDE) for _ in range(n)]
+        assert blocked == scalar
 
 
 class TestLexSearch:
@@ -122,6 +146,10 @@ class TestHistogram:
         st = empirical_histogram(base13(), 0, 0.3, 0, 8)
         assert sum(st.counts) == 0
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(DomainError):
+            empirical_histogram(base13(), 0, 0.3, -1, 8)
+
     def test_counts_sum(self):
         st = empirical_histogram(base13(), 1, 0.371, 5000, 16)
         assert sum(st.counts) == 5000
@@ -142,3 +170,36 @@ class TestHistogram:
         st = empirical_histogram(new_base((2,)), 0, 1 / math.pi, 2 * 10**5, 16)
         for c in st.counts:
             assert c / (2 * 10**5) == pytest.approx(1 / 16, abs=5e-3)
+
+
+ORBIT_BASES = {
+    "sqrt13": BASE13_BETAS,
+    "two": (2.0,),
+    "phi_phi_sqrt5": (PHI, PHI, math.sqrt(5)),
+    "period5": (1.3, 2.7, 1.9, 3.4, 1.15),
+}
+
+
+@pytest.mark.parametrize("betas", ORBIT_BASES.values(), ids=ORBIT_BASES.keys())
+class TestOrbitMatchesScalarReference:
+    """The block-dithered orbit reproduces the one-draw-per-step loop exactly."""
+
+    def test_birkhoff_seeded_start(self, betas):
+        b = new_base(betas)
+        for d in range(max(b.alphabets) + 1):
+            got = birkhoff_frequency(b, None, d, 3000, seed=7)
+            assert got == birkhoff_frequency_reference(b, None, d, 3000, seed=7)
+
+    def test_birkhoff_across_blocks(self, betas):
+        b = new_base(betas)
+        N = (_DITHER_BLOCK + 1) * b.p
+        for d in (0, 1):
+            got = birkhoff_frequency(b, math.sqrt(2) - 1, d, N)
+            assert got == birkhoff_frequency_reference(b, math.sqrt(2) - 1, d, N)
+
+    def test_histogram_across_blocks(self, betas):
+        b = new_base(betas)
+        N = _DITHER_BLOCK + 1
+        for slot in {0, b.p - 1}:
+            st = empirical_histogram(b, slot, 0.371, N, 16)
+            assert st.counts == empirical_histogram_reference(b, slot, 0.371, N, 16)
