@@ -107,9 +107,15 @@ def _digit_string(digits) -> str:
     return ",".join(str(d) for d in digits)
 
 
+def _check_at_least(option: str, value: int | None, least: int) -> None:
+    """Reject a count below ``least``; None leaves the default in place."""
+    if value is not None and value < least:
+        raise DomainError(f"{option} must be at least {least}, got {value}")
+
+
 def _sample_grid(lo: float, hi: float, cuts: Iterable[float], per_unit: int | None = None) -> list[float]:
     """Uniform samples plus both sides of every interior cut."""
-    rate = per_unit or SAMPLES_PER_UNIT
+    rate = SAMPLES_PER_UNIT if per_unit is None else per_unit
     n = max(2, int(round(rate * (hi - lo))))
     pts = [lo + (hi - lo) * k / n for k in range(n)]
     for c in cuts:
@@ -152,6 +158,7 @@ def cmd_expand(args) -> None:
 
 
 def cmd_density(args) -> None:
+    _check_at_least("--samples", args.samples, 1)
     base = _parse_base(args)
     pw = measure.compose_map(base, args.slot)
     spec = measure.gora_density(pw, args.truncation)
@@ -202,7 +209,7 @@ def cmd_freq(args) -> None:
     value = measure.frequency(base, args.digit)
     payload = {"digit": args.digit, "frequency": value}
     lines = [f"digit {args.digit} frequency: {_fmt(value)}"]
-    if args.empirical:
+    if args.empirical is not None:
         emp = oracle.birkhoff_frequency(base, args.x0, args.digit, args.empirical, args.seed)
         payload["empirical"] = emp
         payload["iterations"] = args.empirical
@@ -246,6 +253,7 @@ def cmd_compare(args) -> None:
 
 
 def cmd_orbit(args) -> None:
+    _check_at_least("--steps", args.steps, 0)
     base = _parse_base(args)
     x = parse_expression(args.x).value
     s = StatePoint(0, x)
@@ -289,6 +297,7 @@ def _lazy_branches(base: AlternateBase, i: int) -> list[tuple[float, float, int]
 
 
 def cmd_graph(args) -> None:
+    _check_at_least("--samples", args.samples, 1)
     base = _parse_base(args)
     written = []
     for kind in ("greedy", "lazy") if args.mode == "both" else (args.mode,):

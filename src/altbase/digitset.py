@@ -118,10 +118,19 @@ def _check_delta_domain(ds: DigitSet, x: float, open_left: bool) -> float:
     return min(max(x, 0.0), hi)
 
 
-def greedy_delta_step(ds: DigitSet, x: float) -> tuple[float, float]:
-    """Greedy step over a digit set: subtract the largest digit below beta*x."""
+def _require_allowable(ds: DigitSet) -> None:
     if not is_allowable(ds):
         raise NotAllowable("digit set violates the maximal-gap condition")
+
+
+def greedy_delta_step(ds: DigitSet, x: float) -> tuple[float, float]:
+    """Greedy step over a digit set: subtract the largest digit below beta*x."""
+    _require_allowable(ds)
+    return _greedy_delta_step(ds, x)
+
+
+def _greedy_delta_step(ds: DigitSet, x: float) -> tuple[float, float]:
+    """The greedy step for a digit set already known to be allowable."""
     x = _check_delta_domain(ds, x, open_left=False)
     y = ds.beta * x
     k = bisect.bisect_right(ds.digits, y + EPS_SNAP) - 1
@@ -131,8 +140,7 @@ def greedy_delta_step(ds: DigitSet, x: float) -> tuple[float, float]:
 
 def lazy_delta_step(ds: DigitSet, x: float) -> tuple[float, float]:
     """Lazy step: subtract the least digit whose maximal tail still reaches x."""
-    if not is_allowable(ds):
-        raise NotAllowable("digit set violates the maximal-gap condition")
+    _require_allowable(ds)
     x = _check_delta_domain(ds, x, open_left=True)
     z = ds.beta * x - ds.xsup
     k = bisect.bisect_left(ds.digits, z - EPS_SNAP)
@@ -218,6 +226,7 @@ def compare_transforms(base: AlternateBase) -> DisagreementReport:
     intervals; slivers below 1e-12 are numerical artifacts and dropped.
     """
     ds = delta_set(base)
+    _require_allowable(ds)
     B = base.product
     xb = base.xmax[0]
     block_values = _all_block_values(base)
@@ -233,7 +242,7 @@ def compare_transforms(base: AlternateBase) -> DisagreementReport:
         if hi - lo < MIN_CELL:
             continue
         mid = 0.5 * (lo + hi)
-        delta_img, _ = greedy_delta_step(ds, mid)
+        delta_img, _ = _greedy_delta_step(ds, mid)
         comp_img = _composed_period_value(base, mid)
         if abs(delta_img - comp_img) <= AGREE_TOL * max(1.0, B):
             continue

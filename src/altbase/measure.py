@@ -13,11 +13,10 @@ over intervals, and uses it for digit frequencies.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import AlternateBase
+from .core import AlternateBase, snap_ceil
 from .errors import DomainError, SingularSystem, TruncationTooShallow
 
 # branch images within this distance of the codomain top count as onto, and
@@ -44,7 +43,7 @@ class PiecewiseLinearMap:
         return len(self.endpoints) - 1
 
     def branch_of(self, x: float) -> int:
-        k = int(np.searchsorted(self.endpoints, x, side="right")) - 1
+        k = bisect_right(self.endpoints, x) - 1
         return min(max(k, 0), self.branch_count - 1)
 
     def branch_image_top(self, k: int) -> float:
@@ -57,7 +56,7 @@ class PiecewiseLinearMap:
 
     def left_limit(self, x: float) -> float:
         """Value approached from the left; at a breakpoint, the lower branch."""
-        k = int(np.searchsorted(self.endpoints, x, side="left")) - 1
+        k = bisect_left(self.endpoints, x) - 1
         k = min(max(k, 0), self.branch_count - 1)
         return self.slope * (x - self.endpoints[k])
 
@@ -66,7 +65,7 @@ def single_map(beta: float) -> PiecewiseLinearMap:
     """The one-base map x -> beta*x mod its digit on [0,1)."""
     if beta <= 1.0:
         raise DomainError(f"slope {beta!r} must exceed 1")
-    m = math.ceil(beta - 1e-12) - 1
+    m = snap_ceil(beta) - 1
     pts = [k / beta for k in range(m + 1)] + [1.0]
     return PiecewiseLinearMap(tuple(pts), beta, 1.0)
 
@@ -137,7 +136,7 @@ def default_truncation(B: float) -> int:
 
 
 def _snap_to_breakpoints(x: float, endpoints: tuple[float, ...]) -> float:
-    k = int(np.searchsorted(endpoints, x))
+    k = bisect_left(endpoints, x)
     for j in (k - 1, k):
         if 0 <= j < len(endpoints) and abs(endpoints[j] - x) <= EPS_GEO:
             return endpoints[j]
@@ -192,6 +191,8 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
             orb.append(x)
         orbits.append(tuple(orb))
 
+    import numpy as np  # imported here so that numpy-free commands start faster
+
     powers = B ** -np.arange(1, M + 1)
     S = np.zeros((K, K))
     for i in range(K):
@@ -239,7 +240,7 @@ def density_eval(spec: DensitySpec, x: float) -> float:
     if not (0.0 <= x < 1.0):
         raise DomainError(f"{x!r} outside [0,1)")
     total = spec.d[0]
-    k = int(np.searchsorted(spec.thresholds, x, side="left"))
+    k = bisect_left(spec.thresholds, x)
     for w in spec.weights[k:]:
         total += w
     return total / spec.C
@@ -250,7 +251,7 @@ def measure_interval(spec: DensitySpec, a: float, b: float) -> float:
     if not (0.0 <= a <= b <= 1.0):
         raise DomainError(f"bad interval [{a!r}, {b!r})")
     total = spec.d[0] * (b - a)
-    k = int(np.searchsorted(spec.thresholds, a, side="right"))
+    k = bisect_right(spec.thresholds, a)
     for t, w in zip(spec.thresholds[k:], spec.weights[k:]):
         total += w * (min(t, b) - a)
     return total / spec.C

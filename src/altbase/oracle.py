@@ -16,8 +16,6 @@ from itertools import chain, cycle, islice
 from operator import countOf, itemgetter
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .core import EPS_SNAP, AlternateBase, StatePoint
 from .errors import DomainError, SearchTooLarge
 
@@ -161,9 +159,6 @@ def lex_least(base: AlternateBase, x: float, n: int) -> TupleSearchResult:
     return TupleSearchResult(tuple(digits), values[n])
 
 
-_U64 = np.uint64
-# counter offsets 1..B times the splitmix64 increment, wrapped mod 2**64
-_DITHER_OFFSETS = np.arange(1, _DITHER_BLOCK + 1, dtype=_U64) * _U64(SplitMix64._GAMMA)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
@@ -175,17 +170,22 @@ def _dither_blocks(seed: int) -> Iterator[list[float]]:
     integers of :class:`SplitMix64`, and the float steps are the same IEEE
     operations in the same order, so the draws are identical bit for bit.
     """
+    import numpy as np  # imported here so that numpy-free commands start faster
+
+    u64 = np.uint64
+    # counter offsets 1..B times the splitmix64 increment, wrapped mod 2**64
+    offsets = np.arange(1, _DITHER_BLOCK + 1, dtype=u64) * u64(SplitMix64._GAMMA)
     lo, hi = -DITHER_AMPLITUDE, DITHER_AMPLITUDE
-    state = _U64(seed)
+    state = u64(seed)
     while True:
-        z = state + _DITHER_OFFSETS
+        z = state + offsets
         state = z[-1]
-        z ^= z >> _U64(30)
-        z *= _U64(SplitMix64._MIX1)
-        z ^= z >> _U64(27)
-        z *= _U64(SplitMix64._MIX2)
-        z ^= z >> _U64(31)
-        yield (lo + (z >> _U64(11)) * 2.0**-53 * (hi - lo)).tolist()
+        z ^= z >> u64(30)
+        z *= u64(SplitMix64._MIX1)
+        z ^= z >> u64(27)
+        z *= u64(SplitMix64._MIX2)
+        z ^= z >> u64(31)
+        yield (lo + (z >> u64(11)) * 2.0**-53 * (hi - lo)).tolist()
 
 
 def _greedy_orbit(base: AlternateBase, x0: float) -> Iterator[tuple[int, float, int]]:

@@ -2,14 +2,18 @@
 
 Each one is the straightforward scalar loop: exhaustive tuple enumeration
 for the pruned lexicographic searches, and one SplitMix64 draw per step for
-the dithered orbit statistics.
+the dithered orbit statistics.  The sorted-key lookups of altbase.measure
+are given in their numpy.searchsorted form.
 """
 
 import math
 import struct
 
+import numpy as np
+
 from altbase.core import EPS_SNAP
 from altbase.errors import DomainError
+from altbase.measure import EPS_GEO
 from altbase.oracle import (
     _DITHER_SALT,
     DITHER_AMPLITUDE,
@@ -96,3 +100,38 @@ def empirical_histogram_reference(base, slot, x0, N, bins):
         _, x = _step(base, i, x, uniform)
         i = (i + 1) % base.p
     return tuple(counts)
+
+
+def branch_of_reference(map_, x):
+    k = int(np.searchsorted(map_.endpoints, x, side="right")) - 1
+    return min(max(k, 0), map_.branch_count - 1)
+
+
+def left_limit_reference(map_, x):
+    k = int(np.searchsorted(map_.endpoints, x, side="left")) - 1
+    k = min(max(k, 0), map_.branch_count - 1)
+    return map_.slope * (x - map_.endpoints[k])
+
+
+def snap_to_breakpoints_reference(x, endpoints):
+    k = int(np.searchsorted(endpoints, x, side="left"))
+    for j in (k - 1, k):
+        if 0 <= j < len(endpoints) and abs(endpoints[j] - x) <= EPS_GEO:
+            return endpoints[j]
+    return x
+
+
+def density_eval_reference(spec, x):
+    total = spec.d[0]
+    k = int(np.searchsorted(spec.thresholds, x, side="left"))
+    for w in spec.weights[k:]:
+        total += w
+    return total / spec.C
+
+
+def measure_interval_reference(spec, a, b):
+    total = spec.d[0] * (b - a)
+    k = int(np.searchsorted(spec.thresholds, a, side="right"))
+    for t, w in zip(spec.thresholds[k:], spec.weights[k:]):
+        total += w * (min(t, b) - a)
+    return total / spec.C

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import cli_golden
 from altbase.cli import main
 from helpers import SQRT13
 
@@ -165,3 +170,120 @@ class TestDeterminismAndErrors:
         _, out, _ = run(capsys, "freq", "--base", "2", "--digit", "1",
                         "--empirical", "100", "--json")
         assert json.loads(out)["payload"]["seed"] == 31337
+
+
+class TestRejectedCounts:
+    """Explicit counts out of range fail with exit 3 instead of being replaced."""
+
+    def test_samples_zero(self, capsys, tmp_path):
+        path = tmp_path / "density.csv"
+        code, out, err = run(
+            capsys, "density", "--base", "2", "--csv", str(path), "--samples", "0",
+        )
+        assert (code, out) == (3, "")
+        assert "--samples" in err
+        assert not path.exists()
+
+    def test_samples_negative(self, capsys, tmp_path):
+        path = tmp_path / "graph.csv"
+        code, out, err = run(
+            capsys, "graph", "--base", "2", "--csv", str(path), "--samples", "-3",
+        )
+        assert (code, out) == (3, "")
+        assert "--samples" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empirical_zero(self, capsys):
+        code, out, _ = run(capsys, "freq", "--base", "2", "--digit", "1", "--empirical", "0")
+        assert (code, out) == (3, "")
+
+    def test_steps_negative(self, capsys):
+        code, out, err = run(capsys, "orbit", "--base", "2", "--x", "0.3", "--steps", "-2")
+        assert (code, out) == (3, "")
+        assert "--steps" in err
+
+    def test_steps_zero_is_an_empty_trajectory(self, capsys):
+        code, out, _ = run(capsys, "orbit", "--base", "2", "--x", "0.3", "--steps", "0", "--json")
+        assert code == 0
+        assert json.loads(out)["payload"]["trajectory"] == []
+
+
+GOLDEN = [
+    json.loads(line) for line in cli_golden.CORPUS.read_text(encoding="utf-8").splitlines()
+]
+
+
+class TestGoldenCorpus:
+    """The CLI reproduces every recorded run byte for byte."""
+
+    def test_corpus_matches_command_list(self):
+        assert [rec["argv"] for rec in GOLDEN] == cli_golden.argvs()
+
+    @pytest.mark.parametrize(
+        "record", GOLDEN, ids=[f"{k:02d}-{rec['argv'][0]}" for k, rec in enumerate(GOLDEN)]
+    )
+    def test_replay(self, record, tmp_path):
+        assert cli_golden.run_cli(record["argv"], str(tmp_path)) == record
+
+
+# The child prints one line per stage: its name, the exit code, and whether
+# numpy is loaded; the commands' own output is discarded.
+_NUMPY_PROBE = """
+import contextlib, io, sys
+
+def report(stage, code=None):
+    print(stage, code, "numpy" in sys.modules)
+
+import altbase
+report("import altbase")
+from altbase.cli import main
+report("import altbase.cli")
+for argv in ARGVS:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report(argv[0], code)
+"""
+
+
+def _numpy_probe(argvs, tmp_path):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"ARGVS = {argvs!r}\n" + _NUMPY_PROBE],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    return proc.stdout.splitlines()
+
+
+class TestNumpyImport:
+    """numpy is loaded only by the commands that solve for a density or dither an orbit."""
+
+    def test_scalar_commands_never_load_numpy(self, tmp_path):
+        runs = [
+            (["expand", "--base", BASE13, "--x", "0.3", "--digits", "8"], 0),
+            (["expand", "--base", BASE13, "--x", "0.3", "--mode", "lazy"], 0),
+            (["entropy", "--base", BASE13, "--json"], 0),
+            (["orbit", "--base", BASE13, "--x", "0.25", "--csv", "orbit.csv"], 0),
+            (["graph", "--base", BASE13, "--csv", "graph.csv", "--samples", "16"], 0),
+            (["compare", "--base", "phi,phi,sqrt(5)", "--json"], 0),
+            (["density", "--base", "2", "--json"], 0),  # onto branches: no weight solve
+            (["expand", "--base", "2+*3", "--x", "0.5"], 2),
+            (["expand", "--base", "2", "--x", "0.5", "--digits", "many"], 2),
+            (["expand", "--base", "0.5", "--x", "0.1"], 3),
+            (["compare", "--base", "1000000.5,1000000.5"], 5),
+        ]
+        lines = _numpy_probe([argv for argv, _ in runs], tmp_path)
+        assert lines[:2] == ["import altbase None False", "import altbase.cli None False"]
+        assert lines[2:] == [f"{argv[0]} {code} False" for argv, code in runs]
+
+    def test_array_commands_still_work(self, tmp_path):
+        argvs = [
+            ["density", "--base", BASE13, "--json"],
+            ["freq", "--base", BASE13, "--digit", "0", "--empirical", "5000", "--x0", "0.3"],
+        ]
+        lines = _numpy_probe(argvs, tmp_path)
+        assert lines[2:] == ["density 0 True", "freq 0 True"]

@@ -18,7 +18,8 @@ from altbase.digitset import (
     nondecreasing_by_criterion,
     tilde,
 )
-from altbase.errors import AlphabetError, DomainError, SearchTooLarge
+from altbase import digitset
+from altbase.errors import AlphabetError, DomainError, NotAllowable, SearchTooLarge
 from altbase.oracle import SplitMix64
 from helpers import PHI, base13, random_base
 
@@ -205,6 +206,19 @@ class TestCompareTransforms:
 
     def test_collision_base_coincides(self):
         assert not compare_transforms(base_324())
+
+    def test_allowability_checked_once(self, monkeypatch):
+        calls = []
+        real = digitset.is_allowable
+        monkeypatch.setattr(digitset, "is_allowable", lambda ds: calls.append(ds) or real(ds))
+        assert compare_transforms(base_pps5())
+        assert len(calls) == 1
+
+    def test_not_allowable_set_rejected(self, monkeypatch):
+        gappy = DigitSet((0.0, 1.0, 5.0), 3.0)
+        monkeypatch.setattr(digitset, "delta_set", lambda base: gappy)
+        with pytest.raises(NotAllowable):
+            compare_transforms(base_pps5())
 
     def test_period_two_coincides(self):
         rng = SplitMix64(35)

@@ -5,7 +5,9 @@ import pytest
 from altbase.core import StatePoint, greedy_step, new_base
 from altbase.errors import DomainError, TruncationTooShallow
 from altbase.measure import (
+    DensitySpec,
     IntervalMeasureQuery,
+    _snap_to_breakpoints,
     compose_map,
     density_eval,
     entropy,
@@ -19,6 +21,13 @@ from altbase.measure import (
 )
 from altbase.oracle import SplitMix64, birkhoff_frequency
 from helpers import PHI, SQRT13, base13, base_phi2, random_base
+from reference import (
+    branch_of_reference,
+    density_eval_reference,
+    left_limit_reference,
+    measure_interval_reference,
+    snap_to_breakpoints_reference,
+)
 
 
 def classical_density_oracle(beta, npts=512, terms=120):
@@ -258,3 +267,72 @@ class TestEntropyAndProduct:
         qs = [IntervalMeasureQuery(0, 0, 0.5), IntervalMeasureQuery(0, 0.5, 1)]
         with pytest.raises(DomainError):
             mu_product(b, qs)
+
+
+def _with_neighbours(keys):
+    """Each key and the doubles one ulp below and above it."""
+    out = set()
+    for t in keys:
+        out.update((math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)))
+    return sorted(out)
+
+
+LOOKUP_BASES = {
+    "sqrt13": base13,
+    "phi_phi_sqrt5": lambda: new_base((PHI, PHI, math.sqrt(5))),
+    "period5": lambda: new_base((1.3, 2.7, 1.9, 3.4, 1.15)),
+}
+
+
+class TestLookupsMatchSearchsorted:
+    """The bisect lookups agree bit for bit with numpy.searchsorted, ties included."""
+
+    @pytest.fixture(params=sorted(LOOKUP_BASES))
+    def maps_and_specs(self, request):
+        base = LOOKUP_BASES[request.param]()
+        maps = [compose_map(base, i) for i in range(base.p)]
+        return [(m, gora_density(m)) for m in maps]
+
+    def test_map_lookups(self, maps_and_specs):
+        rng = SplitMix64(41)
+        for m, spec in maps_and_specs:
+            pts = _with_neighbours(m.endpoints + spec.thresholds)
+            pts += [rng.uniform(0.0, m.domain_end) for _ in range(200)]
+            for x in pts:
+                assert m.branch_of(x) == branch_of_reference(m, x)
+                assert m.left_limit(x) == left_limit_reference(m, x)
+                assert _snap_to_breakpoints(x, m.endpoints) == snap_to_breakpoints_reference(
+                    x, m.endpoints
+                )
+
+    def test_density_lookups(self, maps_and_specs):
+        for m, spec in maps_and_specs:
+            pts = [x for x in _with_neighbours(m.endpoints + spec.thresholds) if 0.0 <= x < 1.0]
+            for x in pts:
+                assert density_eval(spec, x) == density_eval_reference(spec, x)
+            for a, b in zip(pts, pts[1:] + [1.0]):
+                for lo, hi in ((a, a), (a, b), (a, 1.0)):
+                    assert measure_interval(spec, lo, hi) == measure_interval_reference(spec, lo, hi)
+
+    def test_snap_between_close_breakpoints(self):
+        # two breakpoints within EPS_GEO: the side decides which one a tie snaps to
+        ends = (0.0, 0.5, 0.5 + 5e-10, 0.5 + 1e-9, 1.0)
+        for x in _with_neighbours(ends):
+            assert _snap_to_breakpoints(x, ends) == snap_to_breakpoints_reference(x, ends)
+
+    def test_thresholds_have_ties(self, maps_and_specs):
+        # side="left" and side="right" differ only on ties, so the keys must have some
+        assert any(len(set(s.thresholds)) < len(s.thresholds) for _, s in maps_and_specs)
+
+    def test_duplicated_thresholds(self):
+        t = (0.0, 0.25, 0.5, 0.5, 0.5, 0.75, 0.75)
+        w = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125)
+        spec = DensitySpec(1, (0.5,), (t,), ((0.0,),), (1.0, 1.0), 1.7, 2.0, len(t), t, w)
+        pts = _with_neighbours(t + (1.0,))
+        for x in pts:
+            if 0.0 <= x < 1.0:
+                assert density_eval(spec, x) == density_eval_reference(spec, x)
+        for a in pts:
+            for b in pts:
+                if 0.0 <= a <= b <= 1.0:
+                    assert measure_interval(spec, a, b) == measure_interval_reference(spec, a, b)
