@@ -281,18 +281,14 @@ def cmd_orbit(args) -> None:
     _emit(args, doc, lines)
 
 
-def _greedy_branches(base: AlternateBase, i: int) -> list[tuple[float, float, int]]:
+def _branches(base: AlternateBase, i: int, kind: str) -> list[tuple[float, float, int]]:
+    """Branches (lo, hi, digit) of the greedy or lazy step map of slot i."""
     b = base.betas[i]
     m = base.alphabets[i]
-    cuts = [k / b for k in range(m + 1)] + [base.xmax[i]]
-    return [(cuts[k], cuts[k + 1], k) for k in range(m + 1)]
-
-
-def _lazy_branches(base: AlternateBase, i: int) -> list[tuple[float, float, int]]:
-    b = base.betas[i]
-    m = base.alphabets[i]
-    hi_next = base.xsup(i + 1)
-    cuts = [0.0] + [(hi_next + k) / b for k in range(m + 1)]
+    if kind == "greedy":
+        cuts = [k / b for k in range(m + 1)] + [base.xmax[i]]
+    else:
+        cuts = [0.0] + [(base.xsup(i + 1) + k) / b for k in range(m + 1)]
     return [(cuts[k], cuts[k + 1], k) for k in range(m + 1)]
 
 
@@ -303,7 +299,7 @@ def cmd_graph(args) -> None:
     for kind in ("greedy", "lazy") if args.mode == "both" else (args.mode,):
         rows = []
         for i in range(base.p):
-            branches = _greedy_branches(base, i) if kind == "greedy" else _lazy_branches(base, i)
+            branches = _branches(base, i, kind)
             cuts = [lo for lo, _, _ in branches[1:]]
             for lo, hi, k in branches:
                 for x in _sample_grid(lo, hi, cuts, args.samples):

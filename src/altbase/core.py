@@ -70,12 +70,6 @@ class AlternateBase:
         return f"AlternateBase(({body}))"
 
 
-def _snapped_ceil_base(b: float) -> int:
-    # ceil for the base itself; bases a hair above an integer (float noise
-    # from expression evaluation) count as that integer.
-    return snap_ceil(b)
-
-
 def new_base(betas: Sequence[float]) -> AlternateBase:
     """Validate a tuple of bases and cache alphabets, product and suprema.
 
@@ -90,7 +84,8 @@ def new_base(betas: Sequence[float]) -> AlternateBase:
         if not math.isfinite(b) or b <= 1.0:
             raise DomainError(f"base component {b!r} is not a real > 1")
     p = len(bs)
-    alphabets = tuple(_snapped_ceil_base(b) - 1 for b in bs)
+    # snap_ceil: a base a hair above an integer (expression float noise) counts as that integer
+    alphabets = tuple(snap_ceil(b) - 1 for b in bs)
     product = math.prod(bs)
     xmax = []
     for i in range(p):
@@ -119,43 +114,34 @@ def shift_base(base: AlternateBase, n: int) -> AlternateBase:
     return AlternateBase(rot(base.betas), base.product, rot(base.alphabets), rot(base.xmax))
 
 
-def _check_greedy_domain(base: AlternateBase, s: StatePoint) -> float:
+def _clamp(base: AlternateBase, s: StatePoint) -> float:
+    """``s.value`` pulled into [0, xmax] of its slot; NaN or more than EPS_SNAP outside raises."""
     hi = base.xmax[s.slot % base.p]
     x = s.value
-    if x < -EPS_SNAP or x > hi + EPS_SNAP:
-        raise DomainError(f"greedy state value {x!r} outside [0, {hi!r}) at slot {s.slot}")
+    if not (-EPS_SNAP <= x <= hi + EPS_SNAP):
+        raise DomainError(f"state value {x!r} outside [0, {hi!r}] at slot {s.slot}")
     return min(max(x, 0.0), hi)
 
 
-def _check_lazy_domain(base: AlternateBase, s: StatePoint) -> float:
-    hi = base.xmax[s.slot % base.p]
-    x = s.value
-    if x < -EPS_SNAP or x > hi + EPS_SNAP:
-        raise DomainError(f"lazy state value {x!r} outside (0, {hi!r}] at slot {s.slot}")
-    return min(max(x, 0.0), hi)
+def _greedy_digit(y: float, m: int) -> int:
+    """The greedy digit for y = beta*x: the snapped floor of y, kept within [0, m]."""
+    d = snap_floor(y)
+    if d > m:
+        return m  # beta*x snapped onto ceil(beta), or x in the extension [1, xmax)
+    return d if d > 0 else 0
 
 
 def greedy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
     """One application of the extended greedy transformation.
 
-    Returns the next state and the digit emitted at this position.  Values
-    below 1 use the maximal digit not exceeding beta*x; values in the
-    extension [1, xmax) always emit the maximal alphabet digit.
+    Returns the next state and the digit emitted at this position, the
+    maximal digit not exceeding beta*x.  On the extension [1, xmax) that is
+    always the maximal alphabet digit, since beta*x >= beta exceeds it.
     """
     p = base.p
     i = s.slot % p
-    x = _check_greedy_domain(base, s)
-    b = base.betas[i]
-    m = base.alphabets[i]
-    y = b * x
-    if x < 1.0:
-        digit = snap_floor(y)
-        if digit > m:
-            digit = m  # beta*x snapped onto ceil(beta) at the top of [0,1)
-        if digit < 0:
-            digit = 0
-    else:
-        digit = m
+    y = base.betas[i] * _clamp(base, s)
+    digit = _greedy_digit(y, base.alphabets[i])
     nxt = y - digit
     if abs(nxt) < EPS_SNAP:
         nxt = 0.0
@@ -174,7 +160,7 @@ def lazy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
     """
     p = base.p
     i = s.slot % p
-    x = _check_lazy_domain(base, s)
+    x = _clamp(base, s)
     b = base.betas[i]
     m = base.alphabets[i]
     j = (i + 1) % p
@@ -207,30 +193,27 @@ class DigitWord:
         return iter(self.digits)
 
 
-def greedy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
-    """First n digits of the greedy expansion of x, starting at slot 0."""
+def _expand(step, base: AlternateBase, x: float, n: int) -> DigitWord:
     if n < 0:
         raise DomainError("digit count must be nonnegative")
     s = StatePoint(0, x)
     out = []
     for _ in range(n):
-        s, d = greedy_step(base, s)
+        s, d = step(base, s)
         out.append(d)
     return DigitWord(tuple(out), 0)
+
+
+def greedy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
+    """First n digits of the greedy expansion of x, starting at slot 0."""
+    return _expand(greedy_step, base, x, n)
 
 
 def lazy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
     """First n digits of the lazy expansion of x, starting at slot 0."""
-    if n < 0:
-        raise DomainError("digit count must be nonnegative")
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"lazy expansion needs 0 < x <= xmax, got {x!r}")
-    s = StatePoint(0, x)
-    out = []
-    for _ in range(n):
-        s, d = lazy_step(base, s)
-        out.append(d)
-    return DigitWord(tuple(out), 0)
+    return _expand(lazy_step, base, x, n)
 
 
 def evaluate(base: AlternateBase, w: DigitWord, with_max_tail: bool = False) -> float:
@@ -261,11 +244,7 @@ def phi(base: AlternateBase, s: StatePoint) -> StatePoint:
     lazily and reflecting back equals one greedy step.
     """
     i = s.slot % base.p
-    hi = base.xmax[i]
-    x = s.value
-    if x < -EPS_SNAP or x > hi + EPS_SNAP:
-        raise DomainError(f"value {x!r} outside [0, {hi!r}] at slot {i}")
-    return StatePoint(i, hi - min(max(x, 0.0), hi))
+    return StatePoint(i, base.xmax[i] - _clamp(base, s))
 
 
 BetaSource = Union[Iterable[float], Callable[[int], float]]
@@ -316,13 +295,8 @@ def greedy_expand_cantor(seq: CantorBaseStream, x: float, n: int) -> DigitWord:
     out = []
     for k in range(n):
         b = seq.beta(k)
-        m = _snapped_ceil_base(b) - 1
         y = b * x
-        d = snap_floor(y)
-        if d > m:
-            d = m
-        if d < 0:
-            d = 0
+        d = _greedy_digit(y, snap_ceil(b) - 1)
         x = y - d
         if -EPS_SNAP < x < EPS_SNAP:
             x = 0.0

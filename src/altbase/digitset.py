@@ -17,14 +17,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import EPS_SNAP, AlternateBase, StatePoint, greedy_step
-from .errors import AlphabetError, DomainError, NotAllowable, SearchTooLarge
-from .oracle import ENUMERATION_BOUND
+from .errors import AlphabetError, DomainError, NotAllowable
+from .oracle import check_enumeration_bound
 
 # collisions of distinct digit blocks are exact in theory but inexact in
 # floats; values this close (relative to the top digit) are merged
 DEDUP_REL = 1e-9
 AGREE_TOL = 1e-9
 MIN_CELL = 1e-12
+# a largest gap equal to top/(beta-1) in exact arithmetic may exceed it by rounding
+GAP_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,20 +62,9 @@ def f_beta(base: AlternateBase, digits: Sequence[int]) -> float:
     return total
 
 
-def _block_count(base: AlternateBase) -> int:
-    total = 1
-    for m in base.alphabets:
-        total *= m + 1
-        if total > ENUMERATION_BOUND:
-            raise SearchTooLarge(
-                f"digit-block enumeration exceeds the {ENUMERATION_BOUND:.0e} bound"
-            )
-    return total
-
-
 def _all_block_values(base: AlternateBase) -> list[float]:
     """f-values of every digit block, in lexicographic block order."""
-    _block_count(base)
+    check_enumeration_bound(base, base.p, "digit-block")
     p = base.p
     suffix_weight = [1.0] * (p + 1)
     for i in range(p - 1, -1, -1):
@@ -101,7 +92,7 @@ def delta_set(base: AlternateBase) -> DigitSet:
 def is_allowable(ds: DigitSet) -> bool:
     """Maximal-gap condition: every consecutive gap at most top/(beta-1)."""
     gap = max(b - a for a, b in zip(ds.digits, ds.digits[1:]))
-    return gap <= ds.xsup + 1e-12
+    return gap <= ds.xsup + GAP_SLACK
 
 
 def tilde(ds: DigitSet) -> DigitSet:
@@ -111,7 +102,7 @@ def tilde(ds: DigitSet) -> DigitSet:
 
 def _check_delta_domain(ds: DigitSet, x: float, open_left: bool) -> float:
     hi = ds.xsup
-    if x < -EPS_SNAP or x > hi + EPS_SNAP:
+    if not (-EPS_SNAP <= x <= hi + EPS_SNAP):
         raise DomainError(f"{x!r} outside the expansion domain [0, {hi!r})")
     if open_left and x <= 0.0:
         raise DomainError("lazy expansions need a positive value")

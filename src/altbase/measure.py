@@ -23,6 +23,10 @@ from .errors import DomainError, SingularSystem, TruncationTooShallow
 # orbit points this close to a breakpoint are pulled onto it (left limits)
 EPS_GEO = 1e-9
 SERIES_TAIL = 1e-15
+# pulled-back breakpoints this close to the last one or the branch end are that point
+MERGE_GAP = 1e-14
+# Id - S with a larger 1-norm condition number gives no trustworthy weights
+COND_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,8 @@ class PiecewiseLinearMap:
 
 def single_map(beta: float) -> PiecewiseLinearMap:
     """The one-base map x -> beta*x mod its digit on [0,1)."""
-    if beta <= 1.0:
-        raise DomainError(f"slope {beta!r} must exceed 1")
+    if not 1.0 < beta < math.inf:
+        raise DomainError(f"slope {beta!r} must be finite and exceed 1")
     m = snap_ceil(beta) - 1
     pts = [k / beta for k in range(m + 1)] + [1.0]
     return PiecewiseLinearMap(tuple(pts), beta, 1.0)
@@ -81,9 +85,9 @@ def _compose(outer: PiecewiseLinearMap, inner: PiecewiseLinearMap) -> PiecewiseL
         pts.append(lo)
         for bl in b[1:-1]:
             q = lo + bl / s
-            if q >= hi - 1e-14:
+            if q >= hi - MERGE_GAP:
                 break
-            if q - pts[-1] > 1e-14:
+            if q - pts[-1] > MERGE_GAP:
                 pts.append(q)
     pts.append(inner.domain_end)
     return PiecewiseLinearMap(tuple(pts), s * outer.slope, inner.domain_end)
@@ -201,7 +205,7 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
             S[i, j] = float(powers[hits > cs[j]].sum())
 
     A = np.eye(K) - S
-    if np.linalg.cond(A, 1) > 1e10:
+    if np.linalg.cond(A, 1) > COND_MAX:
         raise SingularSystem("Id - S is singular or too ill-conditioned")
     dtail = np.linalg.solve(A.T, np.ones(K))
     d = (1.0,) + tuple(float(v) for v in dtail)

@@ -21,8 +21,6 @@ from .errors import DomainError, SearchTooLarge
 
 ENUMERATION_BOUND = 10**7
 
-RNG_ALGORITHM = "splitmix64"
-
 # Orbits are iterated with a deterministic one-ulp dither.  Multiplication
 # by an exactly representable slope (an integer base like 2) is lossless in
 # binary floating point, so the undithered orbit of every double collapses
@@ -82,14 +80,13 @@ class TupleSearchResult:
     value: float
 
 
-def _check_enumeration_bound(base: AlternateBase, n: int) -> None:
+def check_enumeration_bound(base: AlternateBase, n: int, what: str) -> None:
+    """Raise SearchTooLarge if positions 0..n-1 have over ENUMERATION_BOUND digit tuples."""
     total = 1
     for k in range(n):
         total *= base.alphabet(k) + 1
         if total > ENUMERATION_BOUND:
-            raise SearchTooLarge(
-                f"{n}-digit enumeration exceeds the {ENUMERATION_BOUND:.0e} tuple bound"
-            )
+            raise SearchTooLarge(f"{what} enumeration exceeds the {ENUMERATION_BOUND:.0e} bound")
 
 
 def _prefix_products(base: AlternateBase, n: int) -> list[float]:
@@ -107,7 +104,7 @@ def lex_greatest(base: AlternateBase, x: float, n: int) -> TupleSearchResult:
     """
     if not (-EPS_SNAP <= x <= base.xmax[0] + EPS_SNAP):
         raise DomainError(f"x={x!r} outside [0, xmax)")
-    _check_enumeration_bound(base, n)
+    check_enumeration_bound(base, n, f"{n}-digit")
     prods = _prefix_products(base, n)
     digits = [0] * n
     values = [0.0] * (n + 1)
@@ -137,7 +134,7 @@ def lex_least(base: AlternateBase, x: float, n: int) -> TupleSearchResult:
     """
     if not (0.0 < x <= base.xmax[0] + EPS_SNAP):
         raise DomainError(f"x={x!r} outside (0, xmax]")
-    _check_enumeration_bound(base, n)
+    check_enumeration_bound(base, n, f"{n}-digit")
     prods = _prefix_products(base, n)
     digits = [0] * n
     values = [0.0] * (n + 1)
@@ -199,6 +196,8 @@ def _greedy_orbit(base: AlternateBase, x0: float) -> Iterator[tuple[int, float, 
     slots = cycle(tuple(zip(range(base.p), base.betas, base.alphabets)))
     x = x0
     for (i, beta, top), u in zip(slots, dither):
+        # core._greedy_digit inlined (int() is floor as y >= 0): a call here costs
+        # 12-18% per step (1e5-step orbits on sqrt13, 2-vCPU Xeon VM)
         y = beta * x
         d = int(y + EPS_SNAP)
         if d > top:

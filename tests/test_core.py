@@ -111,6 +111,58 @@ class TestSteps:
             lazy_step(b, StatePoint(0, -0.01))
 
 
+EXTENSION_BASES = {
+    "sqrt13": BASE13_BETAS,
+    "phi_phi_sqrt5": (PHI, PHI, math.sqrt(5)),
+    "period5": (1.3, 2.7, 1.9, 3.4, 1.15),
+    "three_plus": (3 + 1.5e-12,),
+    "two_plus": (2 + 1.5e-12,),
+}
+
+
+@pytest.mark.parametrize("betas", EXTENSION_BASES.values(), ids=EXTENSION_BASES.keys())
+def test_greedy_step_on_extension(betas):
+    """On [1, xmax) and at xmax the greedy step emits the maximal digit m
+    and moves to beta*x - m, capped at the next slot's xmax."""
+    b = new_base(betas)
+    checked = 0
+    for i in range(b.p):
+        hi = b.xmax[i]
+        if not 1.0 < hi:
+            continue
+        j = (i + 1) % b.p
+        for x in (1.0, math.nextafter(1.0, 2.0), 0.5 * (1.0 + hi), math.nextafter(hi, 0.0), hi):
+            s, d = greedy_step(b, StatePoint(i, x))
+            assert d == b.alphabets[i]
+            assert s == StatePoint(j, min(b.betas[i] * x - d, b.xmax[j]))
+            checked += 1
+    assert checked
+
+
+class TestNaNRejected:
+    """NaN lies in no slot's domain; every state entry point raises DomainError."""
+
+    def test_greedy_step(self):
+        with pytest.raises(DomainError):
+            greedy_step(base13(), StatePoint(0, math.nan))
+
+    def test_lazy_step(self):
+        with pytest.raises(DomainError):
+            lazy_step(base13(), StatePoint(1, math.nan))
+
+    def test_phi(self):
+        with pytest.raises(DomainError):
+            phi(base13(), StatePoint(0, math.nan))
+
+    def test_greedy_expand(self):
+        with pytest.raises(DomainError):
+            greedy_expand(base13(), math.nan, 5)
+
+    def test_lazy_expand(self):
+        with pytest.raises(DomainError):
+            lazy_expand(base13(), math.nan, 5)
+
+
 class TestExpand:
     def test_sqrt13_digit_regression(self):
         b = base13()

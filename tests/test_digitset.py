@@ -170,6 +170,14 @@ class TestDeltaSteps:
         with pytest.raises(DomainError):
             lazy_delta_step(ds, 0.0)
 
+    def test_greedy_rejects_nan(self):
+        with pytest.raises(DomainError):
+            greedy_delta_step(delta_set(base13()), math.nan)
+
+    def test_lazy_rejects_nan(self):
+        with pytest.raises(DomainError):
+            lazy_delta_step(delta_set(base13()), math.nan)
+
 
 class TestNondecreasing:
     def test_period_two_always(self):

@@ -78,6 +78,11 @@ class TestComposeMap:
             for k in range(m.branch_count):
                 assert m.endpoints[k + 1] - m.endpoints[k] <= 1 / m.slope + 1e-12
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_single_map_rejects_non_finite(self, beta):
+        with pytest.raises(DomainError):
+            single_map(beta)
+
 
 class TestGoraDensity:
     def test_sqrt13_slot0(self):

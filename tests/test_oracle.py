@@ -5,13 +5,14 @@ from itertools import chain, islice
 
 import pytest
 
-from altbase.core import greedy_expand, lazy_expand, new_base
+from altbase.core import _greedy_digit, greedy_expand, lazy_expand, new_base
 from altbase.errors import DomainError, SearchTooLarge
 from altbase.oracle import (
     _DITHER_BLOCK,
     DITHER_AMPLITUDE,
     SplitMix64,
     _dither_blocks,
+    _greedy_orbit,
     birkhoff_frequency,
     empirical_histogram,
     lex_greatest,
@@ -203,3 +204,11 @@ class TestOrbitMatchesScalarReference:
         for slot in {0, b.p - 1}:
             st = empirical_histogram(b, slot, 0.371, N, 16)
             assert st.counts == empirical_histogram_reference(b, slot, 0.371, N, 16)
+
+
+@pytest.mark.parametrize("betas", ORBIT_BASES.values(), ids=ORBIT_BASES.keys())
+def test_orbit_digit_is_greedy_digit(betas):
+    """The dithered orbit inlines the greedy digit rule; it must stay that rule."""
+    b = new_base(betas)
+    for i, x, d in islice(_greedy_orbit(b, math.sqrt(2) - 1), 10**4):
+        assert d == _greedy_digit(b.betas[i] * x, b.alphabets[i])
