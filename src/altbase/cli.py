@@ -316,7 +316,11 @@ def cmd_graph(args) -> None:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="altbase", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get("ALTBASE_SEED", "0"))
+    seed_text = os.environ.get("ALTBASE_SEED", "0")
+    try:
+        default_seed = int(seed_text)
+    except ValueError:
+        ap.exit(EXIT_PARSE, f"error: ALTBASE_SEED must be an integer, got {seed_text!r}\n")
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)

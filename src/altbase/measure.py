@@ -14,10 +14,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .core import AlternateBase, snap_ceil
 from .errors import DomainError, SingularSystem, TruncationTooShallow
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # branch images within this distance of the codomain top count as onto, and
 # orbit points this close to a breakpoint are pulled onto it (left limits)
@@ -60,6 +64,8 @@ class PiecewiseLinearMap:
 
     def left_limit(self, x: float) -> float:
         """Value approached from the left; at a breakpoint, the lower branch."""
+        if not math.isfinite(x):
+            raise DomainError(f"{x!r} is not a finite point")
         k = bisect_left(self.endpoints, x) - 1
         k = min(max(k, 0), self.branch_count - 1)
         return self.slope * (x - self.endpoints[k])
@@ -116,13 +122,16 @@ class DensitySpec:
     The density is (1/C) * (d[0] + sum_j d[j] * sum_m chi_[0, orbit[j-1][m-1]]
     / B^m), truncated at depth M.  ``thresholds``/``weights`` hold the same
     data flattened and sorted for evaluation: the density at x is
-    (d[0] + sum of weights with threshold >= x) / C.
+    (d[0] + sum of weights with threshold >= x) / C.  ``S`` is the K x K
+    correction matrix as a read-only float64 array (the empty tuple when
+    K == 0, so that all-onto maps need no numpy); it is left out of
+    equality and hashing, which ``d`` already decides.
     """
 
     K: int
     c: tuple[float, ...]
     orbit: tuple[tuple[float, ...], ...]
-    S: tuple[tuple[float, ...], ...]
+    S: np.ndarray | tuple[()] = field(compare=False)
     d: tuple[float, ...]
     C: float
     B: float
@@ -198,12 +207,7 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     import numpy as np  # imported here so that numpy-free commands start faster
 
     powers = B ** -np.arange(1, M + 1)
-    S = np.zeros((K, K))
-    for i in range(K):
-        hits = np.asarray(orbits[i])
-        for j in range(K):
-            S[i, j] = float(powers[hits > cs[j]].sum())
-
+    S = _correction_matrix(orbits, cs, powers)
     A = np.eye(K) - S
     if np.linalg.cond(A, 1) > COND_MAX:
         raise SingularSystem("Id - S is singular or too ill-conditioned")
@@ -213,10 +217,11 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     C = 1.0 * top
     thresholds = []
     weights = []
+    pw = powers.tolist()
     for j in range(K):
         for m in range(M):
             t = min(orbits[j][m], top)
-            w = d[j + 1] * float(powers[m])
+            w = d[j + 1] * pw[m]
             C += w * t
             thresholds.append(t)
             weights.append(w)
@@ -225,18 +230,36 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     weights = tuple(float(weights[k]) for k in order)
     if C <= 0.0:
         raise SingularSystem(f"normalization constant came out nonpositive ({C!r})")
-    return DensitySpec(
-        K,
-        tuple(cs),
-        tuple(orbits),
-        tuple(tuple(row) for row in S),
-        d,
-        C,
-        B,
-        M,
-        thresholds,
-        weights,
-    )
+    return DensitySpec(K, tuple(cs), tuple(orbits), S, d, C, B, M, thresholds, weights)
+
+
+def _correction_matrix(orbits, cs, powers):
+    """Read-only K x K array: S[i, j] sums powers[m] over orbit[i][m] > cs[j].
+
+    With orbit i sorted into ``ranked`` and r the number of its points at or
+    below cs[j], those are the points at or above ranked[r] (none when
+    r == M).  Cuts that share a rank share the sum, so a row takes one
+    masked sum per distinct rank, each the same numpy sum as a sum per
+    entry would be.  The ranks come from ``sorted`` and ``bisect``, which
+    load no numpy sort or search kernels that the build does not use anyway.
+    """
+    import numpy as np
+
+    M = len(powers)
+    S = np.empty((len(cs), len(cs)))
+    for i, (orbit, hits) in enumerate(zip(orbits, np.array(orbits))):
+        ranked = sorted(orbit)
+        row = []
+        last = -1
+        for c in cs:
+            r = bisect_right(ranked, c)
+            if r != last:
+                last = r
+                total = float(powers[hits >= ranked[r]].sum()) if r < M else 0.0
+            row.append(total)
+        S[i] = row
+    S.flags.writeable = False
+    return S
 
 
 def density_eval(spec: DensitySpec, x: float) -> float:

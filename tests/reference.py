@@ -2,8 +2,9 @@
 
 Each one is the straightforward scalar loop: exhaustive tuple enumeration
 for the pruned lexicographic searches, and one SplitMix64 draw per step for
-the dithered orbit statistics.  The sorted-key lookups of altbase.measure
-are given in their numpy.searchsorted form.
+the dithered orbit statistics, and one masked numpy sum per entry of the
+density's correction matrix.  The sorted-key lookups of altbase.measure are
+given in their numpy.searchsorted form.
 """
 
 import math
@@ -135,3 +136,14 @@ def measure_interval_reference(spec, a, b):
     for t, w in zip(spec.thresholds[k:], spec.weights[k:]):
         total += w * (min(t, b) - a)
     return total / spec.C
+
+
+def correction_matrix_reference(orbits, cs, B, M):
+    """S[i, j] = sum of B^-(m+1) over the orbit points orbits[i][m] above cs[j]."""
+    powers = B ** -np.arange(1, M + 1)
+    S = np.zeros((len(cs), len(cs)))
+    for i, orbit in enumerate(orbits):
+        hits = np.asarray(orbit)
+        for j, c in enumerate(cs):
+            S[i, j] = float(powers[hits > c].sum())
+    return S

@@ -171,6 +171,14 @@ class TestDeterminismAndErrors:
                         "--empirical", "100", "--json")
         assert json.loads(out)["payload"]["seed"] == 31337
 
+    def test_env_seed_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("ALTBASE_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "--base", "2"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert out.err == "error: ALTBASE_SEED must be an integer, got 'abc'\n"
+
 
 class TestRejectedCounts:
     """Explicit counts out of range fail with exit 3 instead of being replaced."""

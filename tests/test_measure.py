@@ -1,9 +1,16 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+from altbase import measure
 from altbase.core import StatePoint, greedy_step, new_base
 from altbase.errors import DomainError, TruncationTooShallow
+from altbase.expr import parse_base_list
 from altbase.measure import (
     DensitySpec,
     IntervalMeasureQuery,
@@ -23,6 +30,7 @@ from altbase.oracle import SplitMix64, birkhoff_frequency
 from helpers import PHI, SQRT13, base13, base_phi2, random_base
 from reference import (
     branch_of_reference,
+    correction_matrix_reference,
     density_eval_reference,
     left_limit_reference,
     measure_interval_reference,
@@ -83,6 +91,11 @@ class TestComposeMap:
         with pytest.raises(DomainError):
             single_map(beta)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_left_limit_rejects_non_finite(self, x):
+        with pytest.raises(DomainError):
+            compose_map(base13(), 0).left_limit(x)
+
 
 class TestGoraDensity:
     def test_sqrt13_slot0(self):
@@ -97,7 +110,7 @@ class TestGoraDensity:
 
     def test_onto_map_is_uniform(self):
         spec = gora_density(compose_map(new_base((2,)), 0))
-        assert spec.K == 0
+        assert (spec.K, spec.S) == (0, ())
         assert spec.C == 1.0
         assert density_eval(spec, 0.7321) == 1.0
 
@@ -341,3 +354,106 @@ class TestLookupsMatchSearchsorted:
             for b in pts:
                 if 0.0 <= a <= b <= 1.0:
                     assert measure_interval(spec, a, b) == measure_interval_reference(spec, a, b)
+
+
+# every slot of these is checked bit for bit against the per-entry S
+NAMED_BASES = (
+    "(1+sqrt(13))/2,(5+sqrt(13))/6",
+    "phi,phi,sqrt(5)",
+    "phi*phi",
+    "1.3,2.7,1.9,3.4,1.15",
+    "1.3,2.7,1.9,3.4,1.15,2.2,1.7,2.9",
+    "1.5,1.5,4",
+    "sqrt(5)/2,sqrt(6)/2,sqrt(7)/2",
+    "2",
+    "3+1.5e-12",
+    "1.5,2.5",
+)
+# upper end of the random betas per period, so the branch count stays small
+RANDOM_HI = {1: 4.0, 2: 3.2, 3: 2.6, 4: 2.2, 5: 2.0, 6: 1.9, 7: 1.85}
+
+
+def _bitwise_bases():
+    named = [(text, new_base(parse_base_list(text))) for text in NAMED_BASES]
+    rng = SplitMix64(43)
+    rand = []
+    for k in range(42):
+        p = 1 + k % 7
+        rand.append((f"random{k:02d}-p{p}", random_base(rng, p, p, hi=RANDOM_HI[p])))
+    return named + rand
+
+
+BITWISE_BASES = _bitwise_bases()
+
+
+class TestCorrectionMatrix:
+    """S from one masked sum per threshold rank equals the per-entry sums bit for bit."""
+
+    @pytest.mark.parametrize("base", [b for _, b in BITWISE_BASES], ids=[t for t, _ in BITWISE_BASES])
+    def test_matches_reference(self, base, monkeypatch):
+        for slot in range(base.p):
+            m = compose_map(base, slot)
+            spec = gora_density(m)
+            if spec.K == 0:
+                assert spec.S == ()
+                continue
+            ref = correction_matrix_reference(spec.orbit, spec.c, spec.B, spec.M)
+            assert spec.S.shape == ref.shape and spec.S.tobytes() == ref.tobytes()
+            with monkeypatch.context() as mp:
+                mp.setattr(measure, "_correction_matrix", lambda orbits, cs, powers: ref)
+                rebuilt = gora_density(m)
+            assert rebuilt.S is ref
+            assert (rebuilt.d, rebuilt.C) == (spec.d, spec.C)
+            assert (rebuilt.thresholds, rebuilt.weights) == (spec.thresholds, spec.weights)
+
+    @pytest.mark.parametrize("text", ["(1+sqrt(13))/2,(5+sqrt(13))/6", "phi,phi,sqrt(5)", "1.5,1.5,4"])
+    def test_cuts_on_orbit_points(self, text):
+        # a rank taken with the wrong side differs only where a cut equals an orbit point
+        base = new_base(parse_base_list(text))
+        specs = slot_densities(base)
+        assert any(c in orbit for s in specs for orbit in s.orbit for c in s.c)
+
+
+class TestCorrectionMatrixStorage:
+    def test_read_only_array(self):
+        spec = gora_density(compose_map(new_base((1.3, 2.7, 1.9, 3.4, 1.15)), 0))
+        assert isinstance(spec.S, np.ndarray)
+        assert (spec.S.ndim, spec.S.dtype, spec.S.shape) == (2, np.float64, (spec.K, spec.K))
+        with pytest.raises(ValueError):
+            spec.S[0, 0] = 1.0
+
+    def test_separate_builds_equal_and_hash_equal(self):
+        m = compose_map(new_base((PHI, PHI, math.sqrt(5))), 1)
+        first, second = gora_density(m), gora_density(m)
+        assert first.S is not second.S
+        assert first == second
+        assert hash(first) == hash(second)
+
+
+# The child prints the numpy submodules loaded by the density build, the
+# closed-form frequency and a dithered orbit, beyond those of import numpy.
+_NUMPY_MODULES_PROBE = """
+import sys
+import numpy
+
+def loaded():
+    return {m for m in sys.modules if m.startswith("numpy.")}
+
+before = loaded()
+from altbase import birkhoff_frequency, frequency, new_base, slot_densities
+b = new_base((1.3, 2.7, 1.9, 3.4, 1.15))
+slot_densities(b)
+frequency(b, 1)
+birkhoff_frequency(b, 0.3, 1, 10**4)
+print(" ".join(sorted(loaded() - before)))
+"""
+
+
+def test_density_and_orbits_load_no_further_numpy_module():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MODULES_PROBE],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "\n"
