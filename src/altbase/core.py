@@ -143,8 +143,8 @@ def greedy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
     y = base.betas[i] * _clamp(base, s)
     digit = _greedy_digit(y, base.alphabets[i])
     nxt = y - digit
-    if abs(nxt) < EPS_SNAP:
-        nxt = 0.0
+    if nxt < EPS_SNAP:
+        nxt = 0.0  # also floor(y + EPS_SNAP) a hair above y: y - digit may sit below -EPS_SNAP
     j = (i + 1) % p
     hi = base.xmax[j]
     if nxt > hi:
@@ -298,7 +298,7 @@ def greedy_expand_cantor(seq: CantorBaseStream, x: float, n: int) -> DigitWord:
         y = b * x
         d = _greedy_digit(y, snap_ceil(b) - 1)
         x = y - d
-        if -EPS_SNAP < x < EPS_SNAP:
+        if x < EPS_SNAP:
             x = 0.0
         out.append(d)
     return DigitWord(tuple(out), 0)

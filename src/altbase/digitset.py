@@ -126,7 +126,10 @@ def _greedy_delta_step(ds: DigitSet, x: float) -> tuple[float, float]:
     y = ds.beta * x
     k = bisect.bisect_right(ds.digits, y + EPS_SNAP) - 1
     d = ds.digits[max(k, 0)]
-    return y - d, d
+    r = y - d
+    if r < 0.0:
+        r = 0.0  # the snapped digit may exceed y by a hair more than EPS_SNAP
+    return r, d
 
 
 def lazy_delta_step(ds: DigitSet, x: float) -> tuple[float, float]:

@@ -139,6 +139,27 @@ def test_greedy_step_on_extension(betas):
     assert checked
 
 
+# beta*x a hair below an integer: floor(beta*x + EPS_SNAP) overshoots beta*x by
+# slightly more than EPS_SNAP (2.5*OVERSHOOT_X - 2 == -1.000088900582341e-12)
+OVERSHOOT_X = 0.7999999999995999
+
+
+class TestGreedyRemainderSnap:
+    """A greedy remainder below EPS_SNAP is 0, so a valid state never leaves the domain."""
+
+    def test_greedy_step(self):
+        assert greedy_step(new_base((2.5,)), StatePoint(0, OVERSHOOT_X)) == (StatePoint(0, 0.0), 2)
+
+    def test_greedy_expand(self):
+        assert greedy_expand(new_base((2.5,)), OVERSHOOT_X, 3).digits == (2, 0, 0)
+        # the first step of this sqrt13 point overshoots the same way
+        assert greedy_expand(base13(), 0.8685170918208954, 3).digits == (2, 0, 0)
+
+    def test_greedy_expand_cantor(self):
+        seq = CantorBaseStream.periodic(new_base((2.5,)))
+        assert greedy_expand_cantor(seq, OVERSHOOT_X, 1200).digits == (2,) + (0,) * 1199
+
+
 class TestNaNRejected:
     """NaN lies in no slot's domain; every state entry point raises DomainError."""
 

@@ -174,6 +174,12 @@ class TestDeltaSteps:
         with pytest.raises(DomainError):
             greedy_delta_step(delta_set(base13()), math.nan)
 
+    def test_greedy_remainder_never_negative(self):
+        # 2.5*x + EPS_SNAP floors to 2 although 2.5*x - 2 = -1.000088900582341e-12
+        ds = delta_set(new_base((2.5,)))
+        assert greedy_delta_step(ds, 0.7999999999995999) == (0.0, 2.0)
+        assert greedy_delta_step(ds, 0.0) == (0.0, 0.0)
+
     def test_lazy_rejects_nan(self):
         with pytest.raises(DomainError):
             lazy_delta_step(delta_set(base13()), math.nan)
