@@ -14,7 +14,9 @@ a branch endpoint land on the correct branch.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import cycle, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import AlphabetError, DomainError
@@ -114,12 +116,15 @@ def shift_base(base: AlternateBase, n: int) -> AlternateBase:
     return AlternateBase(rot(base.betas), base.product, rot(base.alphabets), rot(base.xmax))
 
 
-def _clamp(base: AlternateBase, s: StatePoint) -> float:
-    """``s.value`` pulled into [0, xmax] of its slot; NaN or more than EPS_SNAP outside raises."""
-    hi = base.xmax[s.slot % base.p]
-    x = s.value
+def _domain_error(x: float, hi: float, slot: int) -> DomainError:
+    return DomainError(f"state value {x!r} outside [0, {hi!r}] at slot {slot}")
+
+
+def _clamp(base: AlternateBase, slot: int, x: float) -> float:
+    """``x`` pulled into [0, xmax] of ``slot``; NaN or more than EPS_SNAP outside raises."""
+    hi = base.xmax[slot % base.p]
     if not (-EPS_SNAP <= x <= hi + EPS_SNAP):
-        raise DomainError(f"state value {x!r} outside [0, {hi!r}] at slot {s.slot}")
+        raise _domain_error(x, hi, slot)
     return min(max(x, 0.0), hi)
 
 
@@ -131,6 +136,10 @@ def _greedy_digit(y: float, m: int) -> int:
     return d if d > 0 else 0
 
 
+# StatePoint(i, x) without the Python-level NamedTuple.__new__ call
+_new_state = tuple.__new__
+
+
 def greedy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
     """One application of the extended greedy transformation.
 
@@ -138,18 +147,28 @@ def greedy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
     maximal digit not exceeding beta*x.  On the extension [1, xmax) that is
     always the maximal alphabet digit, since beta*x >= beta exceeds it.
     """
-    p = base.p
-    i = s.slot % p
-    y = base.betas[i] * _clamp(base, s)
-    digit = _greedy_digit(y, base.alphabets[i])
-    nxt = y - digit
-    if nxt < EPS_SNAP:
-        nxt = 0.0  # also floor(y + EPS_SNAP) a hair above y: y - digit may sit below -EPS_SNAP
-    j = (i + 1) % p
-    hi = base.xmax[j]
-    if nxt > hi:
-        nxt = hi  # float drift at the very top of the domain
-    return StatePoint(j, nxt), digit
+    slot, x = s
+    p = len(base.betas)
+    i = slot if 0 <= slot < p else slot % p
+    hi = base.xmax[i]
+    if not (-EPS_SNAP <= x <= hi + EPS_SNAP):
+        raise _domain_error(x, hi, slot)
+    if x < 0.0:
+        x = 0.0
+    elif x > hi:
+        x = hi
+    y = base.betas[i] * x
+    # _greedy_digit inlined here and in greedy_expand (int() is floor as y >= 0); a test pins both
+    digit = int(y + EPS_SNAP)
+    if digit > base.alphabets[i]:
+        digit = base.alphabets[i]
+    i = i + 1 if i + 1 < p else 0
+    x = y - digit
+    if x < EPS_SNAP:
+        x = 0.0  # also floor(y + EPS_SNAP) a hair above y: y - digit may sit below -EPS_SNAP
+    elif x > base.xmax[i]:
+        x = base.xmax[i]  # float drift at the very top of the domain
+    return _new_state(StatePoint, (i, x)), digit
 
 
 def lazy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
@@ -158,14 +177,21 @@ def lazy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
     Small values (x <= xmax - 1) emit digit 0; otherwise the least digit
     keeping the remainder representable, ceil(beta*x - xmax_next).
     """
-    p = base.p
-    i = s.slot % p
-    x = _clamp(base, s)
+    slot, x = s
+    p = len(base.betas)
+    i = slot if 0 <= slot < p else slot % p
+    hi = base.xmax[i]
+    if not (-EPS_SNAP <= x <= hi + EPS_SNAP):
+        raise _domain_error(x, hi, slot)
+    if x < 0.0:
+        x = 0.0
+    elif x > hi:
+        x = hi
     b = base.betas[i]
     m = base.alphabets[i]
-    j = (i + 1) % p
-    hi_next = base.xmax[j]
-    if x <= base.xmax[i] - 1.0 + EPS_SNAP:
+    i = i + 1 if i + 1 < p else 0
+    hi_next = base.xmax[i]
+    if x <= hi - 1.0 + EPS_SNAP:
         digit = 0
     else:
         digit = snap_ceil(b * x - hi_next)
@@ -173,10 +199,10 @@ def lazy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
             digit = 0
         elif digit > m:
             digit = m
-    nxt = b * x - digit
-    if nxt > hi_next:
-        nxt = hi_next
-    return StatePoint(j, nxt), digit
+    x = b * x - digit
+    if x > hi_next:
+        x = hi_next
+    return _new_state(StatePoint, (i, x)), digit
 
 
 @dataclass(frozen=True)
@@ -193,27 +219,68 @@ class DigitWord:
         return iter(self.digits)
 
 
-def _expand(step, base: AlternateBase, x: float, n: int) -> DigitWord:
+def _digit_count(n: int) -> int:
     if n < 0:
         raise DomainError("digit count must be nonnegative")
-    s = StatePoint(0, x)
-    out = []
-    for _ in range(n):
-        s, d = step(base, s)
-        out.append(d)
-    return DigitWord(tuple(out), 0)
+    return operator.index(n)  # a float count raises TypeError, as range(n) does
 
 
 def greedy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
-    """First n digits of the greedy expansion of x, starting at slot 0."""
-    return _expand(greedy_step, base, x, n)
+    """First n digits of the greedy expansion of x, starting at slot 0.
+
+    One plain-float loop over (beta, alphabet, next xmax) per slot: the start
+    is checked once (n = 0 takes no step and checks nothing), and every state
+    equals the one repeated greedy_step calls reach.
+    """
+    n = _digit_count(n)
+    out = []
+    if n:
+        x = _clamp(base, 0, x)
+        xm = base.xmax
+        for beta, m, hi in islice(cycle(zip(base.betas, base.alphabets, xm[1:] + xm[:1])), n):
+            y = beta * x
+            d = int(y + EPS_SNAP)
+            if d > m:
+                d = m
+            x = y - d
+            if x < EPS_SNAP:
+                x = 0.0
+            elif x > hi:
+                x = hi
+            out.append(d)
+    return DigitWord(tuple(out), 0)
 
 
 def lazy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
-    """First n digits of the lazy expansion of x, starting at slot 0."""
+    """First n digits of the lazy expansion of x, starting at slot 0.
+
+    The loop of greedy_expand for lazy_step's rule; the per-slot tuple adds
+    the digit-0 threshold xmax - 1 + EPS_SNAP.
+    """
     if not x > 0.0:
         raise DomainError(f"lazy expansion needs 0 < x <= xmax, got {x!r}")
-    return _expand(lazy_step, base, x, n)
+    n = _digit_count(n)
+    out = []
+    if n:
+        x = _clamp(base, 0, x)
+        xm = base.xmax
+        slots = zip(base.betas, base.alphabets, xm[1:] + xm[:1], [h - 1.0 + EPS_SNAP for h in xm])
+        for beta, m, hi, small in islice(cycle(slots), n):
+            if x <= small:
+                d = 0
+            else:
+                d = snap_ceil(beta * x - hi)
+                if d < 0:
+                    d = 0
+                elif d > m:
+                    d = m
+            x = beta * x - d
+            if x > hi:
+                x = hi
+            elif x < 0.0:
+                x = 0.0  # what the next lazy_step's clamp would do
+            out.append(d)
+    return DigitWord(tuple(out), 0)
 
 
 def evaluate(base: AlternateBase, w: DigitWord, with_max_tail: bool = False) -> float:
@@ -223,17 +290,20 @@ def evaluate(base: AlternateBase, w: DigitWord, with_max_tail: bool = False) -> 
     added, turning the partial sum into an upper bound for every number
     whose expansion starts with ``w``.
     """
-    off = w.base_offset
+    betas, alphabets = base.betas, base.alphabets
+    p = len(betas)
+    i = w.base_offset % p
     total = 0.0
     prod = 1.0
     for k, d in enumerate(w.digits):
-        m = base.alphabet(off + k)
+        m = alphabets[i]
         if not (0 <= d <= m):
             raise AlphabetError(f"digit {d} at position {k} exceeds alphabet bound {m}")
-        prod *= base.beta(off + k)
+        prod *= betas[i]
         total += d / prod
+        i = i + 1 if i + 1 < p else 0
     if with_max_tail:
-        total += base.xsup(off + len(w.digits)) / prod
+        total += base.xmax[i] / prod
     return total
 
 
@@ -244,7 +314,7 @@ def phi(base: AlternateBase, s: StatePoint) -> StatePoint:
     lazily and reflecting back equals one greedy step.
     """
     i = s.slot % base.p
-    return StatePoint(i, base.xmax[i] - _clamp(base, s))
+    return StatePoint(i, base.xmax[i] - _clamp(base, s.slot, s.value))
 
 
 BetaSource = Union[Iterable[float], Callable[[int], float]]
@@ -290,8 +360,7 @@ def greedy_expand_cantor(seq: CantorBaseStream, x: float, n: int) -> DigitWord:
     """Greedy digits of x in an arbitrary base sequence, on the unit interval."""
     if not (0.0 <= x < 1.0):
         raise DomainError(f"greedy expansion over a base stream needs x in [0,1), got {x!r}")
-    if n < 0:
-        raise DomainError("digit count must be nonnegative")
+    _digit_count(n)
     out = []
     for k in range(n):
         b = seq.beta(k)

@@ -4,7 +4,9 @@ Each one is the straightforward scalar loop: exhaustive tuple enumeration
 for the pruned lexicographic searches, and one SplitMix64 draw per step for
 the dithered orbit statistics, and one masked numpy sum per entry of the
 density's correction matrix.  The sorted-key lookups of altbase.measure are
-given in their numpy.searchsorted form.
+given in their numpy.searchsorted form.  The greedy and lazy steps are the
+one-call-per-digit versions (a StatePoint per step, every state clamped and
+checked, slots taken mod p) that the expansions and evaluate must equal.
 """
 
 import math
@@ -12,8 +14,8 @@ import struct
 
 import numpy as np
 
-from altbase.core import EPS_SNAP
-from altbase.errors import DomainError
+from altbase.core import EPS_SNAP, DigitWord, StatePoint
+from altbase.errors import AlphabetError, DomainError
 from altbase.measure import EPS_GEO
 from altbase.oracle import (
     _DITHER_SALT,
@@ -147,3 +149,88 @@ def correction_matrix_reference(orbits, cs, B, M):
         for j, c in enumerate(cs):
             S[i, j] = float(powers[hits > c].sum())
     return S
+
+
+def _clamp_reference(base, s):
+    hi = base.xmax[s.slot % base.p]
+    x = s.value
+    if not (-EPS_SNAP <= x <= hi + EPS_SNAP):
+        raise DomainError(f"state value {x!r} outside [0, {hi!r}] at slot {s.slot}")
+    return min(max(x, 0.0), hi)
+
+
+def greedy_step_reference(base, s):
+    p = base.p
+    i = s.slot % p
+    y = base.betas[i] * _clamp_reference(base, s)
+    digit = math.floor(y + EPS_SNAP)
+    if digit > base.alphabets[i]:
+        digit = base.alphabets[i]
+    elif digit < 0:
+        digit = 0
+    nxt = y - digit
+    if nxt < EPS_SNAP:
+        nxt = 0.0
+    j = (i + 1) % p
+    hi = base.xmax[j]
+    if nxt > hi:
+        nxt = hi
+    return StatePoint(j, nxt), digit
+
+
+def lazy_step_reference(base, s):
+    p = base.p
+    i = s.slot % p
+    x = _clamp_reference(base, s)
+    b = base.betas[i]
+    m = base.alphabets[i]
+    j = (i + 1) % p
+    hi_next = base.xmax[j]
+    if x <= base.xmax[i] - 1.0 + EPS_SNAP:
+        digit = 0
+    else:
+        digit = math.ceil(b * x - hi_next - EPS_SNAP)
+        if digit < 0:
+            digit = 0
+        elif digit > m:
+            digit = m
+    nxt = b * x - digit
+    if nxt > hi_next:
+        nxt = hi_next
+    return StatePoint(j, nxt), digit
+
+
+def _expand_reference(step, base, x, n):
+    if n < 0:
+        raise DomainError("digit count must be nonnegative")
+    s = StatePoint(0, x)
+    out = []
+    for _ in range(n):
+        s, d = step(base, s)
+        out.append(d)
+    return DigitWord(tuple(out), 0)
+
+
+def greedy_expand_reference(base, x, n):
+    return _expand_reference(greedy_step_reference, base, x, n)
+
+
+def lazy_expand_reference(base, x, n):
+    if not x > 0.0:
+        raise DomainError(f"lazy expansion needs 0 < x <= xmax, got {x!r}")
+    return _expand_reference(lazy_step_reference, base, x, n)
+
+
+def evaluate_reference(base, w, with_max_tail=False):
+    off = w.base_offset
+    total = 0.0
+    prod = 1.0
+    for k, d in enumerate(w.digits):
+        m = base.alphabet(off + k)
+        if not (0 <= d <= m):
+            raise AlphabetError(f"digit {d} at position {k} exceeds alphabet bound {m}")
+        prod *= base.beta(off + k)
+        total += d / prod
+    if with_max_tail:
+        total += base.xsup(off + len(w.digits)) / prod
+    return total

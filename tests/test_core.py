@@ -8,6 +8,7 @@ from altbase.core import (
     CantorBaseStream,
     DigitWord,
     StatePoint,
+    _greedy_digit,
     evaluate,
     greedy_expand,
     greedy_expand_cantor,
@@ -21,6 +22,13 @@ from altbase.core import (
 from altbase.errors import AlphabetError, DomainError
 from altbase.oracle import SplitMix64, lex_greatest
 from helpers import BASE13_BETAS, PHI, SQRT13, base13, base_phi2, random_base
+from reference import (
+    evaluate_reference,
+    greedy_expand_reference,
+    greedy_step_reference,
+    lazy_expand_reference,
+    lazy_step_reference,
+)
 
 X5 = (1.0 + math.sqrt(5.0)) / 5.0
 
@@ -151,13 +159,28 @@ class TestGreedyRemainderSnap:
         assert greedy_step(new_base((2.5,)), StatePoint(0, OVERSHOOT_X)) == (StatePoint(0, 0.0), 2)
 
     def test_greedy_expand(self):
-        assert greedy_expand(new_base((2.5,)), OVERSHOOT_X, 3).digits == (2, 0, 0)
+        # a kept remainder would grow by beta each step until the digits went negative
+        assert greedy_expand(new_base((2.5,)), OVERSHOOT_X, 60).digits == (2,) + (0,) * 59
         # the first step of this sqrt13 point overshoots the same way
-        assert greedy_expand(base13(), 0.8685170918208954, 3).digits == (2, 0, 0)
+        assert greedy_expand(base13(), 0.8685170918208954, 60).digits == (2,) + (0,) * 59
 
     def test_greedy_expand_cantor(self):
         seq = CantorBaseStream.periodic(new_base((2.5,)))
         assert greedy_expand_cantor(seq, OVERSHOOT_X, 1200).digits == (2,) + (0,) * 1199
+
+
+@pytest.mark.parametrize("betas", EXTENSION_BASES.values(), ids=EXTENSION_BASES.keys())
+def test_step_and_expansion_digits_are_greedy_digit(betas):
+    """greedy_step and greedy_expand inline the greedy digit rule; it must stay that rule."""
+    b = new_base(betas)
+    s = StatePoint(0, math.sqrt(2) - 1)
+    x0, digits = s.value, []
+    for _ in range(10**4):
+        nxt, d = greedy_step(b, s)
+        assert d == _greedy_digit(b.betas[s.slot] * s.value, b.alphabets[s.slot])
+        digits.append(d)
+        s = nxt
+    assert greedy_expand(b, x0, 10**4).digits == tuple(digits)
 
 
 class TestNaNRejected:
@@ -208,6 +231,116 @@ class TestExpand:
     def test_lazy_rejects_zero(self):
         with pytest.raises(DomainError):
             lazy_expand(base13(), 0.0, 3)
+
+
+class TestArgumentCheckOrder:
+    """n = 0 takes no step, so x is not checked; n < 0 and lazy's x <= 0 always raise."""
+
+    @pytest.mark.parametrize("x", [math.nan, -1.0, math.inf, 10.0])
+    def test_zero_digits_of_any_point(self, x):
+        assert greedy_expand(base13(), x, 0) == DigitWord((), 0)
+
+    @pytest.mark.parametrize("x", [math.inf, 10.0])
+    def test_zero_lazy_digits_above_domain(self, x):
+        assert lazy_expand(base13(), x, 0) == DigitWord((), 0)
+
+    @pytest.mark.parametrize("x", [math.nan, -1.0, 0.0, math.inf, 0.3])
+    def test_negative_count(self, x):
+        with pytest.raises(DomainError, match="digit count"):
+            greedy_expand(base13(), x, -1)
+        if x > 0.0:
+            with pytest.raises(DomainError, match="digit count"):
+                lazy_expand(base13(), x, -1)
+
+    def test_count_must_be_an_integer(self):
+        for expand in (greedy_expand, lazy_expand):
+            for n in (0.0, 2.5):
+                with pytest.raises(TypeError):
+                    expand(base13(), 0.3, n)
+            with pytest.raises(DomainError, match="digit count"):
+                expand(base13(), 0.3, -1.5)
+
+    @pytest.mark.parametrize("x", [math.nan, -1.0, 0.0])
+    def test_lazy_point_before_count(self, x):
+        for n in (-1, 0, 3):
+            with pytest.raises(DomainError, match="lazy expansion needs"):
+                lazy_expand(base13(), x, n)
+
+
+REFERENCE_BASES = {
+    **EXTENSION_BASES,
+    "phi2": (PHI * PHI,),
+    "two": (2.0,),
+    "period8": (1.3, 2.7, 1.9, 3.4, 1.15, 2.2, 1.7, 2.9),
+}
+_RNG = SplitMix64(606)
+REFERENCE_BASES.update(
+    (f"random{k}", random_base(_RNG, pmin=1, pmax=4, lo=1.05, hi=4.5).betas) for k in range(40)
+)
+
+
+def _probe_points(b, i):
+    """Greedy and lazy cuts of slot i, 1, xmax-1 and xmax, each exact, one ulp and
+    1e-13 either side, plus the extension, EPS_SNAP-near misses, NaN and inf."""
+    beta, m, hi = b.betas[i], b.alphabets[i], b.xmax[i]
+    hi_next = b.xmax[(i + 1) % b.p]
+    cuts = [k / beta for k in range(m + 1)] + [(k + hi_next) / beta for k in range(m + 1)]
+    cuts += [1.0, hi - 1.0, hi]
+    pts = []
+    for c in cuts:
+        pts += [c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf), c - 1e-13, c + 1e-13]
+    pts += [0.5 * (1.0 + hi), -0.5e-12, hi + 0.5e-12, -2e-12, hi + 2e-12]
+    pts += [math.nan, math.inf, -math.inf]
+    return pts
+
+
+def _bits(r):
+    """A result with every float as its hex string and every type named."""
+    if isinstance(r, float):
+        return r.hex()
+    if isinstance(r, tuple):
+        return type(r).__name__, tuple(_bits(v) for v in r)
+    if isinstance(r, DigitWord):
+        return "DigitWord", _bits(r.digits), r.base_offset
+    return type(r).__name__, r
+
+
+def _outcome(f, *args):
+    try:
+        return _bits(f(*args))
+    except (DomainError, AlphabetError) as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("betas", REFERENCE_BASES.values(), ids=REFERENCE_BASES.keys())
+class TestMatchesStepReference:
+    """Steps, expansions and evaluate equal the one-call-per-digit reference bit for bit."""
+
+    def test_steps(self, betas):
+        b = new_base(betas)
+        for i in range(b.p):
+            for x in _probe_points(b, i):
+                for slot in (i, i + b.p, i - b.p):
+                    s = StatePoint(slot, x)
+                    assert _outcome(greedy_step, b, s) == _outcome(greedy_step_reference, b, s)
+                    assert _outcome(lazy_step, b, s) == _outcome(lazy_step_reference, b, s)
+
+    def test_expansions_and_evaluate(self, betas):
+        b = new_base(betas)
+        for k, x in enumerate(_probe_points(b, 0)):
+            for n in (0, 1, 7, 60, 1000) if k % 16 == 0 else (0, 1, 7, 60):
+                for expand, reference in (
+                    (greedy_expand, greedy_expand_reference),
+                    (lazy_expand, lazy_expand_reference),
+                ):
+                    got = _outcome(expand, b, x, n)
+                    assert got == _outcome(reference, b, x, n)
+                    if got[0] != "DigitWord":
+                        continue
+                    w = DigitWord(expand(b, x, n).digits, (0, 1, -1, b.p + 1)[k % 4])
+                    for tail in (False, True):
+                        value = _outcome(evaluate, b, w, tail)
+                        assert value == _outcome(evaluate_reference, b, w, tail)
 
 
 class TestEvaluate:
