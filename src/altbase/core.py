@@ -17,6 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import cycle, islice
+from numbers import Integral
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import AlphabetError, DomainError
@@ -158,7 +159,7 @@ def greedy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
     elif x > hi:
         x = hi
     y = base.betas[i] * x
-    # _greedy_digit inlined here and in greedy_expand (int() is floor as y >= 0); a test pins both
+    # _greedy_digit inlined here and in _greedy_run (int() is floor as y >= 0); a test pins both
     digit = int(y + EPS_SNAP)
     if digit > base.alphabets[i]:
         digit = base.alphabets[i]
@@ -225,14 +226,13 @@ def _digit_count(n: int) -> int:
     return operator.index(n)  # a float count raises TypeError, as range(n) does
 
 
-def greedy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
-    """First n digits of the greedy expansion of x, starting at slot 0.
+def _greedy_run(base: AlternateBase, x: float, n: int) -> tuple[list[int], float]:
+    """Digits and last remainder of n greedy steps from slot 0, for a count n >= 0.
 
     One plain-float loop over (beta, alphabet, next xmax) per slot: the start
     is checked once (n = 0 takes no step and checks nothing), and every state
     equals the one repeated greedy_step calls reach.
     """
-    n = _digit_count(n)
     out = []
     if n:
         x = _clamp(base, 0, x)
@@ -248,7 +248,12 @@ def greedy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
             elif x > hi:
                 x = hi
             out.append(d)
-    return DigitWord(tuple(out), 0)
+    return out, x
+
+
+def greedy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
+    """First n digits of the greedy expansion of x, starting at slot 0."""
+    return DigitWord(tuple(_greedy_run(base, x, _digit_count(n))[0]), 0)
 
 
 def lazy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
@@ -290,6 +295,10 @@ def evaluate(base: AlternateBase, w: DigitWord, with_max_tail: bool = False) -> 
     added, turning the partial sum into an upper bound for every number
     whose expansion starts with ``w``.
     """
+    # one C-level pass: the sum of integral digits is integral, and one float digit makes it a float
+    if not isinstance(sum(w.digits), Integral):
+        bad = next(d for d in w.digits if not isinstance(d, Integral))
+        raise AlphabetError(f"digit {bad!r} is not an integer")
     betas, alphabets = base.betas, base.alphabets
     p = len(betas)
     i = w.base_offset % p

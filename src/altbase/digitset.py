@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import EPS_SNAP, AlternateBase, StatePoint, greedy_step
+from .core import EPS_SNAP, AlternateBase, _greedy_run
 from .errors import AlphabetError, DomainError, NotAllowable
 from .oracle import check_enumeration_bound
 
@@ -192,13 +192,6 @@ class DisagreementReport:
         return bool(self.intervals)
 
 
-def _composed_period_value(base: AlternateBase, x: float) -> float:
-    s = StatePoint(0, x)
-    for _ in range(base.p):
-        s, _ = greedy_step(base, s)
-    return s.value
-
-
 def _suffix_min_values(values: list[float]) -> list[float]:
     """Values that are strictly smaller than everything lexicographically later."""
     out = []
@@ -237,7 +230,7 @@ def compare_transforms(base: AlternateBase) -> DisagreementReport:
             continue
         mid = 0.5 * (lo + hi)
         delta_img, _ = _greedy_delta_step(ds, mid)
-        comp_img = _composed_period_value(base, mid)
+        _, comp_img = _greedy_run(base, mid, base.p)  # one greedy period from slot 0
         if abs(delta_img - comp_img) <= AGREE_TOL * max(1.0, B):
             continue
         if intervals and abs(intervals[-1][1] - lo) <= MIN_CELL:

@@ -156,14 +156,40 @@ def _snap_to_breakpoints(x: float, endpoints: tuple[float, ...]) -> float:
     return x
 
 
-def _modified_step(map_: PiecewiseLinearMap, x: float) -> float:
-    """One orbit step with the left-limit convention at breakpoints."""
-    x = _snap_to_breakpoints(x, map_.endpoints)
-    if x in map_.endpoints and x > 0.0:
-        y = map_.left_limit(x)
-    else:
-        y = map_.slope * (x - map_.endpoints[map_.branch_of(x)])
-    return _snap_to_breakpoints(y, map_.endpoints)
+def _endpoint_orbits(map_: PiecewiseLinearMap, cs: list[float], M: int) -> list[tuple[float, ...]]:
+    """The first M points of the orbit of each cut, left limits at breakpoints.
+
+    One bisect_left per point snaps it as _snap_to_breakpoints does.  A point
+    on no breakpoint steps by its branch formula (bisect_left is then the
+    bisect_right of branch_of).  From breakpoint j the next raw value is e[j]
+    snapped again (of two breakpoints within EPS_GEO the lower one wins), then
+    its left limit, or the branch formula at 0; a table keeps it per j.
+    """
+    e = map_.endpoints
+    n = len(e)
+    s = map_.slope
+    # lo[k] = e[branch_of(y)] for a y on no breakpoint, with k = bisect_left(e, y)
+    lo = (e[0],) + e[:-1] + (e[-2],)
+    nxt = {}
+    orbits = []
+    for c in cs:
+        y = map_.left_limit(_snap_to_breakpoints(c, e))
+        orb = []
+        for _ in range(M):
+            k = bisect_left(e, y)
+            if k and abs(e[k - 1] - y) <= EPS_GEO:
+                k -= 1
+            elif k == n or not abs(e[k] - y) <= EPS_GEO:
+                orb.append(y)
+                y = s * (y - lo[k])
+                continue
+            orb.append(e[k])
+            if k not in nxt:
+                x = _snap_to_breakpoints(e[k], e)
+                nxt[k] = map_.left_limit(x) if x > 0.0 else s * (x - e[map_.branch_of(x)])
+            y = nxt[k]
+        orbits.append(tuple(orb))
+    return orbits
 
 
 def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
@@ -194,15 +220,7 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     if K == 0:
         return DensitySpec(0, (), (), (), (1.0,), 1.0, B, M, (), ())
 
-    orbits = []
-    for c in cs:
-        x = map_.left_limit(_snap_to_breakpoints(c, map_.endpoints))
-        x = _snap_to_breakpoints(x, map_.endpoints)
-        orb = [x]
-        for _ in range(M - 1):
-            x = _modified_step(map_, x)
-            orb.append(x)
-        orbits.append(tuple(orb))
+    orbits = _endpoint_orbits(map_, cs, M)
 
     import numpy as np  # imported here so that numpy-free commands start faster
 
@@ -211,26 +229,26 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     A = np.eye(K) - S
     if np.linalg.cond(A, 1) > COND_MAX:
         raise SingularSystem("Id - S is singular or too ill-conditioned")
-    dtail = np.linalg.solve(A.T, np.ones(K))
-    d = (1.0,) + tuple(float(v) for v in dtail)
+    dtail = np.linalg.solve(A.T, np.ones(K)).tolist()
 
     C = 1.0 * top
     thresholds = []
     weights = []
     pw = powers.tolist()
-    for j in range(K):
-        for m in range(M):
-            t = min(orbits[j][m], top)
-            w = d[j + 1] * pw[m]
+    for dj, orb in zip(dtail, orbits):
+        for x, p in zip(orb, pw):
+            t = top if top < x else x  # min(x, top), the same float object
+            w = dj * p
             C += w * t
             thresholds.append(t)
             weights.append(w)
-    order = np.argsort(thresholds)
-    thresholds = tuple(float(thresholds[k]) for k in order)
-    weights = tuple(float(weights[k]) for k in order)
+    # argsort's default kind: another kind may put the weights of tied thresholds in another order
+    order = np.argsort(thresholds).tolist()
+    thresholds = tuple([thresholds[k] for k in order])
+    weights = tuple([weights[k] for k in order])
     if C <= 0.0:
         raise SingularSystem(f"normalization constant came out nonpositive ({C!r})")
-    return DensitySpec(K, tuple(cs), tuple(orbits), S, d, C, B, M, thresholds, weights)
+    return DensitySpec(K, tuple(cs), tuple(orbits), S, (1.0, *dtail), C, B, M, thresholds, weights)
 
 
 def _correction_matrix(orbits, cs, powers):

@@ -4,19 +4,32 @@ Each one is the straightforward scalar loop: exhaustive tuple enumeration
 for the pruned lexicographic searches, and one SplitMix64 draw per step for
 the dithered orbit statistics, and one masked numpy sum per entry of the
 density's correction matrix.  The sorted-key lookups of altbase.measure are
-given in their numpy.searchsorted form.  The greedy and lazy steps are the
+given in their numpy.searchsorted form.  The endpoint orbits of the density
+take one _modified_step call (two snaps, three bisects) per point, and
+gora_density_reference builds the whole DensitySpec around them, with its
+normalisation indexed per entry.  The greedy and lazy steps are the
 one-call-per-digit versions (a StatePoint per step, every state clamped and
-checked, slots taken mod p) that the expansions and evaluate must equal.
+checked, slots taken mod p) that the expansions, evaluate and the period
+value behind compare_transforms must equal.
 """
 
 import math
 import struct
+from numbers import Integral
 
 import numpy as np
 
 from altbase.core import EPS_SNAP, DigitWord, StatePoint
-from altbase.errors import AlphabetError, DomainError
-from altbase.measure import EPS_GEO
+from altbase.errors import AlphabetError, DomainError, SingularSystem, TruncationTooShallow
+from altbase.measure import (
+    COND_MAX,
+    EPS_GEO,
+    SERIES_TAIL,
+    DensitySpec,
+    _correction_matrix,
+    _snap_to_breakpoints,
+    default_truncation,
+)
 from altbase.oracle import (
     _DITHER_SALT,
     DITHER_AMPLITUDE,
@@ -151,6 +164,83 @@ def correction_matrix_reference(orbits, cs, B, M):
     return S
 
 
+def _modified_step(map_, x):
+    """One orbit step with the left-limit convention at breakpoints."""
+    x = _snap_to_breakpoints(x, map_.endpoints)
+    if x in map_.endpoints and x > 0.0:
+        y = map_.left_limit(x)
+    else:
+        y = map_.slope * (x - map_.endpoints[map_.branch_of(x)])
+    return _snap_to_breakpoints(y, map_.endpoints)
+
+
+def endpoint_orbits_reference(map_, cs, M):
+    orbits = []
+    for c in cs:
+        x = map_.left_limit(_snap_to_breakpoints(c, map_.endpoints))
+        x = _snap_to_breakpoints(x, map_.endpoints)
+        orb = [x]
+        for _ in range(M - 1):
+            x = _modified_step(map_, x)
+            orb.append(x)
+        orbits.append(tuple(orb))
+    return orbits
+
+
+def gora_density_reference(map_, M=None):
+    B = map_.slope
+    if M is None:
+        M = default_truncation(B)
+    if M < 1:
+        raise DomainError("truncation depth must be positive")
+    if B ** (-M) > SERIES_TAIL * (B - 1.0):
+        raise TruncationTooShallow(
+            f"depth {M} leaves a geometric tail above {SERIES_TAIL:g} for slope {B!r}"
+        )
+    top = map_.domain_end
+    cs = [
+        map_.endpoints[k + 1]
+        for k in range(map_.branch_count)
+        if map_.branch_image_top(k) < top - EPS_GEO
+    ]
+    K = len(cs)
+    if K == 0:
+        return DensitySpec(0, (), (), (), (1.0,), 1.0, B, M, (), ())
+    orbits = endpoint_orbits_reference(map_, cs, M)
+    powers = B ** -np.arange(1, M + 1)
+    S = _correction_matrix(orbits, cs, powers)
+    A = np.eye(K) - S
+    if np.linalg.cond(A, 1) > COND_MAX:
+        raise SingularSystem("Id - S is singular or too ill-conditioned")
+    dtail = np.linalg.solve(A.T, np.ones(K))
+    d = (1.0,) + tuple(float(v) for v in dtail)
+    C = 1.0 * top
+    thresholds = []
+    weights = []
+    pw = powers.tolist()
+    for j in range(K):
+        for m in range(M):
+            t = min(orbits[j][m], top)
+            w = d[j + 1] * pw[m]
+            C += w * t
+            thresholds.append(t)
+            weights.append(w)
+    order = np.argsort(thresholds)
+    thresholds = tuple(float(thresholds[k]) for k in order)
+    weights = tuple(float(weights[k]) for k in order)
+    if C <= 0.0:
+        raise SingularSystem(f"normalization constant came out nonpositive ({C!r})")
+    return DensitySpec(K, tuple(cs), tuple(orbits), S, d, C, B, M, thresholds, weights)
+
+
+def composed_period_value_reference(base, x):
+    """One greedy period from slot 0 by p greedy_step_reference calls."""
+    s = StatePoint(0, x)
+    for _ in range(base.p):
+        s, _ = greedy_step_reference(base, s)
+    return s.value
+
+
 def _clamp_reference(base, s):
     hi = base.xmax[s.slot % base.p]
     x = s.value
@@ -222,6 +312,9 @@ def lazy_expand_reference(base, x, n):
 
 
 def evaluate_reference(base, w, with_max_tail=False):
+    for d in w.digits:
+        if not isinstance(d, Integral):
+            raise AlphabetError(f"digit {d!r} is not an integer")
     off = w.base_offset
     total = 0.0
     prod = 1.0

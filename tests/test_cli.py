@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import cli_golden
-from altbase.cli import main
+from altbase.cli import _BLAS_THREAD_VARIABLES, main
 from helpers import SQRT13
 
 BASE13 = "(1+sqrt(13))/2,(5+sqrt(13))/6"
@@ -295,3 +295,38 @@ class TestNumpyImport:
         ]
         lines = _numpy_probe(argvs, tmp_path)
         assert lines[2:] == ["density 0 True", "freq 0 True"]
+
+
+# The child runs a density command, which loads numpy for its weight solve,
+# and prints the BLAS thread variables that numpy found.
+_BLAS_PROBE = """
+import contextlib, io, os, sys
+from altbase.cli import _BLAS_THREAD_VARIABLES, main
+
+assert "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["density", "--base", "1.3,2.7,1.9", "--json"]) == 0
+assert "numpy" in sys.modules
+print(" ".join(os.environ.get(name, "unset") for name in _BLAS_THREAD_VARIABLES))
+"""
+
+
+def _blas_probe(tmp_path, **settings):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE], cwd=tmp_path, env={**env, **settings},
+        capture_output=True, text=True, check=True,
+    )
+    return proc.stdout.split()
+
+
+class TestBlasThreads:
+    """The CLI pins BLAS to one thread before numpy loads, unless the user chose a count."""
+
+    def test_unset_variables_become_one(self, tmp_path):
+        assert _blas_probe(tmp_path) == ["1", "1", "1"]
+
+    def test_user_settings_are_kept(self, tmp_path):
+        assert _blas_probe(tmp_path, OMP_NUM_THREADS="3", MKL_NUM_THREADS="2") == ["3", "1", "2"]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -369,6 +370,19 @@ class TestEvaluate:
             evaluate(base13(), DigitWord((3,)))
         with pytest.raises(AlphabetError):
             evaluate(base13(), DigitWord((0, 2)))
+
+    @pytest.mark.parametrize(
+        "digits", [(0.5, 0.25), (1, 0.0), (1, math.nan), (np.float64(1.0),)], ids=repr
+    )
+    def test_non_integer_digits(self, digits):
+        with pytest.raises(AlphabetError, match="is not an integer"):
+            evaluate(base13(), DigitWord(digits))
+
+    def test_integral_digit_types(self):
+        b = base13()
+        want = evaluate(b, DigitWord((1, 0, 1, 1)))
+        for digits in ((True, False, 1, True), (np.int64(1), np.int8(0), np.uint8(1), np.int16(1))):
+            assert evaluate(b, DigitWord(digits)) == want
 
 
 class TestPhi:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altbase.core import StatePoint, greedy_step, lazy_step, new_base
+from altbase.core import StatePoint, _greedy_run, greedy_step, lazy_step, new_base
 from altbase.digitset import (
     DigitSet,
     compare_transforms,
@@ -22,6 +22,7 @@ from altbase import digitset
 from altbase.errors import AlphabetError, DomainError, NotAllowable, SearchTooLarge
 from altbase.oracle import SplitMix64
 from helpers import PHI, base13, random_base
+from reference import composed_period_value_reference
 
 R5 = math.sqrt(5)
 
@@ -300,3 +301,41 @@ class TestCompareTransforms:
             assert img == pytest.approx(w.delta_image, abs=1e-9)
             assert s.value == pytest.approx(w.composed_image, abs=1e-9)
             assert abs(img - s.value) > 1e-6
+
+
+def _report_bits(rep):
+    return (
+        tuple((lo.hex(), hi.hex()) for lo, hi in rep.intervals),
+        tuple((w.x.hex(), w.delta_image.hex(), w.composed_image.hex()) for w in rep.witnesses),
+    )
+
+
+def _period_bases():
+    rng = SplitMix64(37)
+    named = [base_pps5(), base_324(), base_567(), base13(), new_base((1.3, 2.7, 1.9, 3.4, 1.15))]
+    return named + [random_base(rng, pmin=1, pmax=5, lo=1.05, hi=3.0) for _ in range(30)]
+
+
+class TestPeriodValueMatchesStepReference:
+    """compare_transforms takes one greedy period from core's loop, bit for bit p greedy steps."""
+
+    def test_period_remainder(self):
+        rng = SplitMix64(38)
+        for b in _period_bases():
+            xb = b.xmax[0]
+            cuts = [d / b.product for d in delta_set(b).digits if d / b.product <= xb]
+            pts = [0.0, xb, 1.0] + cuts + [rng.uniform(0.0, xb) for _ in range(200)]
+            pts += [math.nextafter(c, math.inf) for c in cuts]
+            pts += [math.nextafter(c, -math.inf) for c in cuts[1:]]
+            for x in pts:
+                got = _greedy_run(b, x, b.p)[1]
+                assert got.hex() == composed_period_value_reference(b, x).hex()
+
+    def test_reports(self, monkeypatch):
+        bases = _period_bases()
+        got = [_report_bits(compare_transforms(b)) for b in bases]
+        monkeypatch.setattr(
+            digitset, "_greedy_run", lambda b, x, n: (None, composed_period_value_reference(b, x))
+        )
+        assert got == [_report_bits(compare_transforms(b)) for b in bases]
+        assert any(rep[0] for rep in got)

@@ -9,11 +9,14 @@ import pytest
 
 from altbase import measure
 from altbase.core import StatePoint, greedy_step, new_base
-from altbase.errors import DomainError, TruncationTooShallow
+from altbase.errors import DomainError, SingularSystem, TruncationTooShallow
 from altbase.expr import parse_base_list
 from altbase.measure import (
+    EPS_GEO,
     DensitySpec,
     IntervalMeasureQuery,
+    PiecewiseLinearMap,
+    _endpoint_orbits,
     _snap_to_breakpoints,
     compose_map,
     density_eval,
@@ -32,6 +35,8 @@ from reference import (
     branch_of_reference,
     correction_matrix_reference,
     density_eval_reference,
+    endpoint_orbits_reference,
+    gora_density_reference,
     left_limit_reference,
     measure_interval_reference,
     snap_to_breakpoints_reference,
@@ -412,6 +417,99 @@ class TestCorrectionMatrix:
         base = new_base(parse_base_list(text))
         specs = slot_densities(base)
         assert any(c in orbit for s in specs for orbit in s.orbit for c in s.c)
+
+
+def _float_bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _spec_bits(spec):
+    """Every field of a DensitySpec, floats as hex; S as its shape and entries."""
+    S = np.asarray(spec.S)
+    return (
+        spec.K, spec.M, spec.B.hex(), spec.C.hex(), _float_bits(spec.c),
+        tuple(_float_bits(o) for o in spec.orbit), _float_bits(spec.d),
+        _float_bits(spec.thresholds), _float_bits(spec.weights), S.shape, _float_bits(S.ravel()),
+    )
+
+
+def _density_outcome(build, m, M):
+    try:
+        return _spec_bits(build(m, M))
+    except (SingularSystem, TruncationTooShallow) as e:
+        return type(e).__name__, str(e)
+
+
+def _cuts(m):
+    top = m.domain_end
+    ks = range(m.branch_count)
+    return [m.endpoints[k + 1] for k in ks if m.branch_image_top(k) < top - EPS_GEO]
+
+
+def _assert_matches_reference(m, M=None):
+    assert _density_outcome(gora_density, m, M) == _density_outcome(gora_density_reference, m, M)
+    depth = M or measure.default_truncation(m.slope)
+    got = _endpoint_orbits(m, _cuts(m), depth)
+    assert tuple(_float_bits(o) for o in got) == tuple(
+        _float_bits(o) for o in endpoint_orbits_reference(m, _cuts(m), depth)
+    )
+
+
+# slots of random bases of periods 1-8; the top beta per period keeps the branch count small
+ORBIT_RANDOM_HI = {**RANDOM_HI, 8: 1.75}
+# bases within 1e-13 to 1e-6 of an integer, where EPS_SNAP and EPS_GEO decide branches
+NEAR_INTEGER_BASES = [
+    (n + sign * 10.0**-k,) for n in (2, 3, 5) for k in (6, 8, 10, 12, 13) for sign in (1, -1)
+] + [(2 + 1e-9, 1.5), (3 - 1e-7, 2 + 1e-11), (1.5, 2 - 1e-12, 3 + 1e-8)]
+
+
+def _close_breakpoint_map(gap, land):
+    """Slope 3 with breakpoints 0.5 and 0.5 + gap; the last cut's left limit is 0.5 + land."""
+    upper = 0.5 + gap
+    return PiecewiseLinearMap((0.0, 1 / 3, 0.5, upper, upper + (0.5 + land) / 3, 1.0), 3.0, 1.0)
+
+
+class TestEndpointOrbitsMatchReference:
+    """One bisect per orbit point gives the one-_modified_step-per-point orbits bit for bit."""
+
+    @pytest.mark.parametrize("text", NAMED_BASES + ("2+1.5e-12",))
+    def test_named_bases(self, text):
+        base = new_base(parse_base_list(text))
+        for slot in range(base.p):
+            _assert_matches_reference(compose_map(base, slot))
+
+    def test_random_bases(self):
+        rng = SplitMix64(2027)
+        for k in range(112):
+            p = 1 + k % 8
+            base = random_base(rng, p, p, hi=ORBIT_RANDOM_HI[p])
+            for slot in range(base.p):
+                _assert_matches_reference(compose_map(base, slot))
+
+    @pytest.mark.parametrize("M", [None, 200])
+    def test_near_integer_bases(self, M):
+        for betas in NEAR_INTEGER_BASES:
+            base = new_base(betas)
+            for slot in range(base.p):
+                _assert_matches_reference(compose_map(base, slot), M)
+
+    @pytest.mark.parametrize("gap", [5e-10, 9e-10])
+    @pytest.mark.parametrize("land", [-3e-10, 2e-10, 5e-10, 7e-10, 1.2e-9])
+    @pytest.mark.parametrize("M", [None, 200])
+    def test_breakpoints_closer_than_eps_geo(self, gap, land, M):
+        _assert_matches_reference(_close_breakpoint_map(gap, land), M)
+
+    def test_second_snap_moves_to_the_lower_breakpoint(self):
+        # the case above with land = 7e-10: 0.5 + 7e-10 lies within EPS_GEO of both breakpoints
+        # and snaps onto the upper one; the step from there snaps again, onto 0.5
+        m = _close_breakpoint_map(5e-10, 7e-10)
+        assert gora_density(m).orbit[-2][:3] == (m.endpoints[3], 0.5, 0.5)
+
+    def test_points_past_the_last_breakpoint(self):
+        # a branch wider than 1/slope maps past domain_end, where branch_of clamps to the last branch
+        m = PiecewiseLinearMap((0.0, 0.3, 1.0), 2.5, 1.0)
+        assert gora_density(m).orbit[0][:3] == (0.75, 1.125, 2.0625)
+        _assert_matches_reference(m)
 
 
 class TestCorrectionMatrixStorage:

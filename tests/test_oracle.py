@@ -5,7 +5,14 @@ from itertools import chain, islice
 
 import pytest
 
-from altbase.core import _greedy_digit, greedy_expand, lazy_expand, new_base
+from altbase.core import (
+    _greedy_digit,
+    _greedy_run,
+    greedy_expand,
+    lazy_expand,
+    new_base,
+    shift_base,
+)
 from altbase.errors import DomainError, SearchTooLarge
 from altbase.oracle import (
     _DITHER_BLOCK,
@@ -208,7 +215,9 @@ class TestOrbitMatchesScalarReference:
 
 @pytest.mark.parametrize("betas", ORBIT_BASES.values(), ids=ORBIT_BASES.keys())
 def test_orbit_digit_is_greedy_digit(betas):
-    """The dithered orbit inlines the greedy digit rule; it must stay that rule."""
+    """The dithered orbit and core._greedy_run inline the greedy digit rule; both must stay it."""
     b = new_base(betas)
+    rotated = [shift_base(b, i) for i in range(b.p)]
     for i, x, d in islice(_greedy_orbit(b, math.sqrt(2) - 1), 10**4):
         assert d == _greedy_digit(b.betas[i] * x, b.alphabets[i])
+        assert _greedy_run(rotated[i], x, 1)[0] == [d]
