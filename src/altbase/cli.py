@@ -33,9 +33,6 @@ from .expr import parse_base_list, parse_expression
 SCHEMA_VERSION = "1"
 SAMPLES_PER_UNIT = 2048
 
-# one BLAS thread unless the user chose a count: a thread pool only slows the small K x K solves
-_BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
@@ -373,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    for name in _BLAS_THREAD_VARIABLES:  # read when numpy loads, which no command has done yet
+    # one BLAS thread for the small solves, set before numpy loads; a value the user set is kept
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
     args = build_parser().parse_args(argv)
     try:

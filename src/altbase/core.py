@@ -295,24 +295,26 @@ def evaluate(base: AlternateBase, w: DigitWord, with_max_tail: bool = False) -> 
     added, turning the partial sum into an upper bound for every number
     whose expansion starts with ``w``.
     """
-    # one C-level pass: the sum of integral digits is integral, and one float digit makes it a float
-    if not isinstance(sum(w.digits), Integral):
-        bad = next(d for d in w.digits if not isinstance(d, Integral))
-        raise AlphabetError(f"digit {bad!r} is not an integer")
-    betas, alphabets = base.betas, base.alphabets
+    digits, betas, alphabets = tuple(w.digits), base.betas, base.alphabets
     p = len(betas)
     i = w.base_offset % p
+    # C-level passes: a float digit makes the sum a float; the slice from j holds slot i+j's digits
+    if not isinstance(sum(digits), Integral):
+        bad = next(d for d in digits if not isinstance(d, Integral))
+        raise AlphabetError(f"digit {bad!r} is not an integer")
+    for j in range(min(p, len(digits))):
+        run = digits[j::p]
+        if min(run) < 0 or max(run) > alphabets[(i + j) % p]:
+            k = next(k for k, d in enumerate(digits) if not 0 <= d <= alphabets[(i + k) % p])
+            m = alphabets[(i + k) % p]
+            raise AlphabetError(f"digit {digits[k]} at position {k} exceeds alphabet bound {m}")
     total = 0.0
     prod = 1.0
-    for k, d in enumerate(w.digits):
-        m = alphabets[i]
-        if not (0 <= d <= m):
-            raise AlphabetError(f"digit {d} at position {k} exceeds alphabet bound {m}")
-        prod *= betas[i]
+    for d, beta in zip(digits, cycle(betas[i:] + betas[:i])):
+        prod *= beta
         total += d / prod
-        i = i + 1 if i + 1 < p else 0
     if with_max_tail:
-        total += base.xmax[i] / prod
+        total += base.xmax[(i + len(digits)) % p] / prod
     return total
 
 

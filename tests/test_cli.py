@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import cli_golden
-from altbase.cli import _BLAS_THREAD_VARIABLES, main
+from altbase.cli import main
 from helpers import SQRT13
 
 BASE13 = "(1+sqrt(13))/2,(5+sqrt(13))/6"
@@ -297,26 +297,28 @@ class TestNumpyImport:
         assert lines[2:] == ["density 0 True", "freq 0 True"]
 
 
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # The child runs a density command, which loads numpy for its weight solve,
 # and prints the BLAS thread variables that numpy found.
 _BLAS_PROBE = """
 import contextlib, io, os, sys
-from altbase.cli import _BLAS_THREAD_VARIABLES, main
+from altbase.cli import main
 
 assert "numpy" not in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["density", "--base", "1.3,2.7,1.9", "--json"]) == 0
 assert "numpy" in sys.modules
-print(" ".join(os.environ.get(name, "unset") for name in _BLAS_THREAD_VARIABLES))
+print(" ".join(os.environ.get(name, "unset") for name in BLAS_THREAD_VARIABLES))
 """
 
 
 def _blas_probe(tmp_path, **settings):
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _BLAS_PROBE], cwd=tmp_path, env={**env, **settings},
+        [sys.executable, "-c", f"BLAS_THREAD_VARIABLES = {BLAS_THREAD_VARIABLES!r}\n{_BLAS_PROBE}"],
+        cwd=tmp_path, env={**env, **settings},
         capture_output=True, text=True, check=True,
     )
     return proc.stdout.split()

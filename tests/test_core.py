@@ -370,6 +370,8 @@ class TestEvaluate:
             evaluate(base13(), DigitWord((3,)))
         with pytest.raises(AlphabetError):
             evaluate(base13(), DigitWord((0, 2)))
+        with pytest.raises(AlphabetError, match="digit -1 at position 2 exceeds"):
+            evaluate(base13(), DigitWord((1, 0, -1, 0)))
 
     @pytest.mark.parametrize(
         "digits", [(0.5, 0.25), (1, 0.0), (1, math.nan), (np.float64(1.0),)], ids=repr
