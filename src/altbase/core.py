@@ -16,17 +16,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import cycle, islice
+from itertools import cycle, islice, repeat
 from numbers import Integral
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import AlphabetError, DomainError
 
 EPS_SNAP = 1e-12
-
-
-def snap_floor(y: float) -> int:
-    return math.floor(y + EPS_SNAP)
 
 
 def snap_ceil(y: float) -> int:
@@ -129,14 +125,6 @@ def _clamp(base: AlternateBase, slot: int, x: float) -> float:
     return min(max(x, 0.0), hi)
 
 
-def _greedy_digit(y: float, m: int) -> int:
-    """The greedy digit for y = beta*x: the snapped floor of y, kept within [0, m]."""
-    d = snap_floor(y)
-    if d > m:
-        return m  # beta*x snapped onto ceil(beta), or x in the extension [1, xmax)
-    return d if d > 0 else 0
-
-
 # StatePoint(i, x) without the Python-level NamedTuple.__new__ call
 _new_state = tuple.__new__
 
@@ -159,7 +147,7 @@ def greedy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
     elif x > hi:
         x = hi
     y = base.betas[i] * x
-    # _greedy_digit inlined here and in _greedy_run (int() is floor as y >= 0); a test pins both
+    # the digit rule of _greedy_loop, inlined for per-call speed; a test pins both to one rule
     digit = int(y + EPS_SNAP)
     if digit > base.alphabets[i]:
         digit = base.alphabets[i]
@@ -226,29 +214,38 @@ def _digit_count(n: int) -> int:
     return operator.index(n)  # a float count raises TypeError, as range(n) does
 
 
+def _greedy_loop(slots: Iterable[tuple[float, int, float]], x: float) -> tuple[list[int], float]:
+    """Digits and last remainder of greedy steps over (beta, alphabet, cap) triples.
+
+    x already lies in the first domain.  A remainder below EPS_SNAP is 0 (the
+    snapped floor may exceed beta*x by a hair), one above cap is cap.
+    """
+    out = []
+    for beta, m, hi in slots:
+        y = beta * x
+        d = int(y + EPS_SNAP)  # the snapped floor, as y >= 0
+        if d > m:
+            d = m  # beta*x snapped onto ceil(beta), or x in the extension [1, xmax)
+        x = y - d
+        if x < EPS_SNAP:
+            x = 0.0
+        elif x > hi:
+            x = hi
+        out.append(d)
+    return out, x
+
+
 def _greedy_run(base: AlternateBase, x: float, n: int) -> tuple[list[int], float]:
     """Digits and last remainder of n greedy steps from slot 0, for a count n >= 0.
 
-    One plain-float loop over (beta, alphabet, next xmax) per slot: the start
-    is checked once (n = 0 takes no step and checks nothing), and every state
-    equals the one repeated greedy_step calls reach.
+    The start is checked once (n = 0 takes no step and checks nothing); each
+    remainder is capped at the next slot's xmax, as greedy_step caps it.
     """
-    out = []
-    if n:
-        x = _clamp(base, 0, x)
-        xm = base.xmax
-        for beta, m, hi in islice(cycle(zip(base.betas, base.alphabets, xm[1:] + xm[:1])), n):
-            y = beta * x
-            d = int(y + EPS_SNAP)
-            if d > m:
-                d = m
-            x = y - d
-            if x < EPS_SNAP:
-                x = 0.0
-            elif x > hi:
-                x = hi
-            out.append(d)
-    return out, x
+    if not n:
+        return [], x
+    xm = base.xmax
+    slots = islice(cycle(zip(base.betas, base.alphabets, xm[1:] + xm[:1])), n)
+    return _greedy_loop(slots, _clamp(base, 0, x))
 
 
 def greedy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
@@ -371,14 +368,6 @@ def greedy_expand_cantor(seq: CantorBaseStream, x: float, n: int) -> DigitWord:
     """Greedy digits of x in an arbitrary base sequence, on the unit interval."""
     if not (0.0 <= x < 1.0):
         raise DomainError(f"greedy expansion over a base stream needs x in [0,1), got {x!r}")
-    _digit_count(n)
-    out = []
-    for k in range(n):
-        b = seq.beta(k)
-        y = b * x
-        d = _greedy_digit(y, snap_ceil(b) - 1)
-        x = y - d
-        if x < EPS_SNAP:
-            x = 0.0
-        out.append(d)
-    return DigitWord(tuple(out), 0)
+    bs = [seq.beta(k) for k in range(_digit_count(n))]
+    digits, _ = _greedy_loop(zip(bs, [snap_ceil(b) - 1 for b in bs], repeat(math.inf)), x)
+    return DigitWord(tuple(digits), 0)

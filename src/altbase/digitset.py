@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import lt
 from typing import Sequence
 
 from .core import EPS_SNAP, AlternateBase, _greedy_run
@@ -35,6 +36,13 @@ class DigitSet:
 
     digits: tuple[float, ...]
     beta: float
+
+    def __post_init__(self):
+        ds = self.digits
+        if len(ds) < 2 or ds[0] != 0.0 or not all(map(lt, ds, ds[1:])):
+            raise AlphabetError("a digit set needs two or more digits, ascending strictly from 0.0")
+        if not 1.0 < self.beta < math.inf:
+            raise DomainError(f"digit set base {self.beta!r} is not a finite real > 1")
 
     @property
     def top(self) -> float:
@@ -151,14 +159,12 @@ def nondecreasing_by_criterion(base: AlternateBase) -> bool:
     have nothing to check.
     """
     p = base.p
-    for j in range(1, p - 1):
-        lhs = 0.0
-        weight = 1.0
-        for i in range(p - 1, j - 1, -1):
-            lhs += base.alphabets[i] * weight
-            weight *= base.betas[i]
-        rhs = weight  # product of bases j .. p-1
-        if lhs > rhs + AGREE_TOL:
+    lhs = 0.0
+    weight = 1.0
+    for j in range(p - 1, 0, -1):
+        lhs += base.alphabets[j] * weight
+        weight *= base.betas[j]  # product of bases j .. p-1, the increment at j
+        if j < p - 1 and lhs > weight + AGREE_TOL:
             return False
     return True
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 from .core import AlternateBase, snap_ceil
-from .errors import DomainError, SingularSystem, TruncationTooShallow
+from .errors import AlphabetError, DomainError, SingularSystem, TruncationTooShallow
 
 if TYPE_CHECKING:
     import numpy as np
@@ -148,32 +149,24 @@ def default_truncation(B: float) -> int:
     return M
 
 
-def _snap_to_breakpoints(x: float, endpoints: tuple[float, ...]) -> float:
-    k = bisect_left(endpoints, x)
-    for j in (k - 1, k):
-        if 0 <= j < len(endpoints) and abs(endpoints[j] - x) <= EPS_GEO:
-            return endpoints[j]
-    return x
-
-
 def _endpoint_orbits(map_: PiecewiseLinearMap, cs: list[float], M: int) -> list[tuple[float, ...]]:
     """The first M points of the orbit of each cut, left limits at breakpoints.
 
-    One bisect_left per point snaps it as _snap_to_breakpoints does.  A point
-    on no breakpoint steps by its branch formula (bisect_left is then the
-    bisect_right of branch_of).  From breakpoint j the next raw value is e[j]
-    snapped again (of two breakpoints within EPS_GEO the lower one wins), then
-    its left limit, or the branch formula at 0; a table keeps it per j.
+    A point within EPS_GEO of a breakpoint is pulled onto it, the lower
+    neighbour first, by one bisect_left; a point on no breakpoint steps by its
+    branch formula.  From breakpoint k the orbit goes on at the image top of
+    the branch ending at down[k], the lower one of two within EPS_GEO.
     """
     e = map_.endpoints
     n = len(e)
     s = map_.slope
     # lo[k] = e[branch_of(y)] for a y on no breakpoint, with k = bisect_left(e, y)
     lo = (e[0],) + e[:-1] + (e[-2],)
-    nxt = {}
+    down = [k - 1 if k and e[k] - e[k - 1] <= EPS_GEO else k for k in range(n)]
+    nxt = [map_.branch_image_top(j - 1) if j else 0.0 for j in down]
     orbits = []
     for c in cs:
-        y = map_.left_limit(_snap_to_breakpoints(c, e))
+        y = nxt[bisect_left(e, c)]  # every cut is a breakpoint
         orb = []
         for _ in range(M):
             k = bisect_left(e, y)
@@ -184,9 +177,6 @@ def _endpoint_orbits(map_: PiecewiseLinearMap, cs: list[float], M: int) -> list[
                 y = s * (y - lo[k])
                 continue
             orb.append(e[k])
-            if k not in nxt:
-                x = _snap_to_breakpoints(e[k], e)
-                nxt[k] = map_.left_limit(x) if x > 0.0 else s * (x - e[map_.branch_of(x)])
             y = nxt[k]
         orbits.append(tuple(orb))
     return orbits
@@ -328,6 +318,8 @@ def frequency(base: AlternateBase, digit: int) -> float:
     emit the digit at that slot.  Digits beyond every alphabet have
     frequency zero.
     """
+    if not isinstance(digit, Integral):
+        raise AlphabetError(f"digit {digit!r} is not an integer")
     if digit < 0:
         raise DomainError("digits are nonnegative")
     specs = slot_densities(base)

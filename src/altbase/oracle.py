@@ -10,6 +10,7 @@ two routes can be checked against each other.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from itertools import chain, cycle, islice
@@ -196,8 +197,8 @@ def _greedy_orbit(base: AlternateBase, x0: float) -> Iterator[tuple[int, float, 
     slots = cycle(tuple(zip(range(base.p), base.betas, base.alphabets)))
     x = x0
     for (i, beta, top), u in zip(slots, dither):
-        # core._greedy_digit inlined (int() is floor as y >= 0): a call here costs
-        # 12-18% per step (1e5-step orbits on sqrt13, 2-vCPU Xeon VM)
+        # the digit rule of core._greedy_loop inlined: a call here costs 12-18%
+        # per step (1e5-step orbits on sqrt13, 2-vCPU Xeon VM)
         y = beta * x
         d = int(y + EPS_SNAP)
         if d > top:
@@ -225,6 +226,7 @@ def birkhoff_frequency(
     stream for ``seed``; the seed plays no other role.  Deterministic starts
     should be generic; sqrt(2) - 1 is a reasonable default.
     """
+    N = operator.index(N)  # a float count raises TypeError, as range(n) does
     if N < 1:
         raise DomainError("N must be positive")
     if x0 is None:
@@ -255,6 +257,7 @@ def empirical_histogram(
     Collects the N values the greedy orbit of (0, x0) takes at steps
     congruent to ``slot`` modulo the period, binned uniformly.
     """
+    N = operator.index(N)
     if N < 0:
         raise DomainError("N must be non-negative")
     if not (0.0 <= x0 < 1.0):

@@ -5,29 +5,35 @@ for the pruned lexicographic searches, and one SplitMix64 draw per step for
 the dithered orbit statistics, and one masked numpy sum per entry of the
 density's correction matrix.  The sorted-key lookups of altbase.measure are
 given in their numpy.searchsorted form.  The endpoint orbits of the density
-take one _modified_step call (two snaps, three bisects) per point, and
+take one _modified_step call (two snaps by snap_to_breakpoints_reference,
+three bisects) per point, and
 gora_density_reference builds the whole DensitySpec around them, with its
 normalisation indexed per entry.  The greedy and lazy steps are the
 one-call-per-digit versions (a StatePoint per step, every state clamped and
 checked, slots taken mod p) that the expansions, evaluate and the period
-value behind compare_transforms must equal.
+value behind compare_transforms must equal; greedy_digit_reference is the
+one greedy digit rule they and the expansion over a base stream inline.
+The monotonicity criterion is recomputed from scratch for every cut, and
+orbit_of_one_density is the paper's density from the greedy orbits of 1,
+an independent check of the composed-map construction.
 """
 
 import math
 import struct
+from bisect import bisect_left
 from numbers import Integral
 
 import numpy as np
 
-from altbase.core import EPS_SNAP, DigitWord, StatePoint
+from altbase.core import EPS_SNAP, DigitWord, StatePoint, snap_ceil
 from altbase.errors import AlphabetError, DomainError, SingularSystem, TruncationTooShallow
+from altbase.digitset import AGREE_TOL
 from altbase.measure import (
     COND_MAX,
     EPS_GEO,
     SERIES_TAIL,
     DensitySpec,
     _correction_matrix,
-    _snap_to_breakpoints,
     default_truncation,
 )
 from altbase.oracle import (
@@ -130,7 +136,8 @@ def left_limit_reference(map_, x):
 
 
 def snap_to_breakpoints_reference(x, endpoints):
-    k = int(np.searchsorted(endpoints, x, side="left"))
+    """x pulled onto a breakpoint within EPS_GEO, the lower neighbour checked first."""
+    k = bisect_left(endpoints, x)
     for j in (k - 1, k):
         if 0 <= j < len(endpoints) and abs(endpoints[j] - x) <= EPS_GEO:
             return endpoints[j]
@@ -166,19 +173,19 @@ def correction_matrix_reference(orbits, cs, B, M):
 
 def _modified_step(map_, x):
     """One orbit step with the left-limit convention at breakpoints."""
-    x = _snap_to_breakpoints(x, map_.endpoints)
+    x = snap_to_breakpoints_reference(x, map_.endpoints)
     if x in map_.endpoints and x > 0.0:
         y = map_.left_limit(x)
     else:
         y = map_.slope * (x - map_.endpoints[map_.branch_of(x)])
-    return _snap_to_breakpoints(y, map_.endpoints)
+    return snap_to_breakpoints_reference(y, map_.endpoints)
 
 
 def endpoint_orbits_reference(map_, cs, M):
     orbits = []
     for c in cs:
-        x = map_.left_limit(_snap_to_breakpoints(c, map_.endpoints))
-        x = _snap_to_breakpoints(x, map_.endpoints)
+        x = map_.left_limit(snap_to_breakpoints_reference(c, map_.endpoints))
+        x = snap_to_breakpoints_reference(x, map_.endpoints)
         orb = [x]
         for _ in range(M - 1):
             x = _modified_step(map_, x)
@@ -327,3 +334,89 @@ def evaluate_reference(base, w, with_max_tail=False):
     if with_max_tail:
         total += base.xsup(off + len(w.digits)) / prod
     return total
+
+
+def greedy_digit_reference(y, m):
+    """The greedy digit for y = beta*x: the snapped floor of y, kept within [0, m]."""
+    d = math.floor(y + EPS_SNAP)
+    if d > m:
+        return m  # beta*x snapped onto ceil(beta), or x in the extension [1, xmax)
+    return d if d > 0 else 0
+
+
+def greedy_expand_cantor_reference(seq, x, n):
+    """Greedy digits over a base stream, each base drawn when its digit is taken."""
+    if not (0.0 <= x < 1.0):
+        raise DomainError(f"greedy expansion over a base stream needs x in [0,1), got {x!r}")
+    if n < 0:
+        raise DomainError("digit count must be nonnegative")
+    out = []
+    for k in range(n):
+        b = seq.beta(k)
+        y = b * x
+        d = greedy_digit_reference(y, snap_ceil(b) - 1)
+        x = y - d
+        if x < EPS_SNAP:
+            x = 0.0
+        out.append(d)
+    return DigitWord(tuple(out), 0)
+
+
+def nondecreasing_by_criterion_reference(base):
+    """The criterion with the suffix weights summed afresh for every cut j."""
+    p = base.p
+    for j in range(1, p - 1):
+        lhs = 0.0
+        weight = 1.0
+        for i in range(p - 1, j - 1, -1):
+            lhs += base.alphabets[i] * weight
+            weight *= base.betas[i]
+        if lhs > weight + AGREE_TOL:
+            return False
+    return True
+
+
+def orbit_of_one_density(base, M=None):
+    """Per slot, the density as (t, v) steps from the greedy orbits of 1.
+
+    The orbit of 1 started at slot j visits (s, t, w): t = 1, w = 1 at s = j,
+    then a = floor(beta_s * t), t -> beta_s * t - a, w -> w / beta_s and
+    s -> s + 1, until t == 0 or after p * (M + 2) steps.  Each step moves
+    w * a / beta_s into G[s+1, j]; every column of G sums to the expansion of
+    1, so G is column-stochastic, and c = G c with sum(c) = 1.  The slot-i
+    density is proportional to the sum of c_j * w * chi_[0, t) over the orbit
+    points at slot i; each slot is normalised to mass 1 on [0, 1).
+    """
+    p = base.p
+    if M is None:
+        M = default_truncation(base.product)
+    G = np.zeros((p, p))
+    points = [[] for _ in range(p)]
+    for j in range(p):
+        s, t, w = j, 1.0, 1.0
+        for _ in range(p * (M + 2)):
+            points[s].append((j, t, w))
+            beta = base.betas[s]
+            a = math.floor(beta * t)
+            G[(s + 1) % p, j] += w * a / beta
+            t = beta * t - a
+            w /= beta
+            s = (s + 1) % p
+            if t == 0.0:
+                break
+    A = G - np.eye(p)
+    A[-1] = 1.0
+    rhs = np.zeros(p)
+    rhs[-1] = 1.0
+    c = np.linalg.solve(A, rhs).tolist()
+    out = []
+    for pts in points:
+        steps = [(t, c[j] * w) for j, t, w in pts]
+        mass = math.fsum(t * v for t, v in steps)
+        out.append(tuple((t, v / mass) for t, v in steps))
+    return out
+
+
+def step_density_eval(steps, x):
+    """Value at x of the sum of v * chi_[0, t) over the (t, v) steps."""
+    return math.fsum(v for t, v in steps if x < t)

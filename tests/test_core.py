@@ -9,7 +9,6 @@ from altbase.core import (
     CantorBaseStream,
     DigitWord,
     StatePoint,
-    _greedy_digit,
     evaluate,
     greedy_expand,
     greedy_expand_cantor,
@@ -25,6 +24,8 @@ from altbase.oracle import SplitMix64, lex_greatest
 from helpers import BASE13_BETAS, PHI, SQRT13, base13, base_phi2, random_base
 from reference import (
     evaluate_reference,
+    greedy_digit_reference,
+    greedy_expand_cantor_reference,
     greedy_expand_reference,
     greedy_step_reference,
     lazy_expand_reference,
@@ -172,16 +173,20 @@ class TestGreedyRemainderSnap:
 
 @pytest.mark.parametrize("betas", EXTENSION_BASES.values(), ids=EXTENSION_BASES.keys())
 def test_step_and_expansion_digits_are_greedy_digit(betas):
-    """greedy_step and greedy_expand inline the greedy digit rule; it must stay that rule."""
+    """greedy_step, greedy_expand and greedy_expand_cantor inline the greedy digit rule;
+    it must stay that rule."""
     b = new_base(betas)
     s = StatePoint(0, math.sqrt(2) - 1)
     x0, digits = s.value, []
     for _ in range(10**4):
         nxt, d = greedy_step(b, s)
-        assert d == _greedy_digit(b.betas[s.slot] * s.value, b.alphabets[s.slot])
+        assert d == greedy_digit_reference(b.betas[s.slot] * s.value, b.alphabets[s.slot])
         digits.append(d)
         s = nxt
     assert greedy_expand(b, x0, 10**4).digits == tuple(digits)
+    # the reference loop takes each digit from greedy_digit_reference
+    got = greedy_expand_cantor(CantorBaseStream.periodic(b), x0, 10**4)
+    assert got == greedy_expand_cantor_reference(CantorBaseStream.periodic(b), x0, 10**4)
 
 
 class TestNaNRejected:
@@ -445,6 +450,61 @@ class TestCantor:
         seq = CantorBaseStream(iter([2.0]))
         with pytest.raises(DomainError):
             greedy_expand_cantor(seq, 0.5, 2)
+
+
+def _cantor_outcome(expand, stream, x, n):
+    try:
+        return expand(stream(), x, n)
+    except DomainError as e:
+        return str(e)
+
+
+def _random_betas(seed, n):
+    rng = SplitMix64(seed)
+    return [rng.uniform(1.05, 4.0) for _ in range(n)]
+
+
+# fresh stream factories: an iterable stream is used up by one expansion
+CANTOR_STREAMS = {
+    "periodic_sqrt13": lambda: CantorBaseStream.periodic(base13()),
+    "periodic_period5": lambda: CantorBaseStream.periodic(new_base((1.3, 2.7, 1.9, 3.4, 1.15))),
+    "harmonic": lambda: CantorBaseStream(lambda n: 1 + 1 / (n + 1)),
+    "integers": lambda: CantorBaseStream(lambda n: 2 + n % 3),
+    "random_list": lambda: CantorBaseStream(_random_betas(61, 1200)),
+    "random_callable": lambda: CantorBaseStream(lambda n: 1.01 + (n * 0.6180339887) % 3.0),
+}
+
+
+class TestCantorMatchesReference:
+    """greedy_expand_cantor runs core's greedy loop; its words and errors are those of the
+    loop that drew one base per digit."""
+
+    @pytest.mark.parametrize("name", sorted(CANTOR_STREAMS))
+    def test_words(self, name):
+        stream = CANTOR_STREAMS[name]
+        rng = SplitMix64(62)
+        xs = [0.0, 0.5, math.sqrt(2) - 1, math.nextafter(1.0, 0.0)]
+        for x in xs + [rng.uniform() for _ in range(6)]:
+            for n in (0, 1, 7, 1200):
+                got = greedy_expand_cantor(stream(), x, n)
+                assert got == greedy_expand_cantor_reference(stream(), x, n)
+
+    def test_overshoot(self):
+        stream = lambda: CantorBaseStream.periodic(new_base((2.5,)))
+        for n in (0, 1, 7, 1200):
+            got = greedy_expand_cantor(stream(), OVERSHOOT_X, n)
+            assert got == greedy_expand_cantor_reference(stream(), OVERSHOOT_X, n)
+
+    @pytest.mark.parametrize(
+        "source",
+        [[2.0], [2.0, 1.0], [2.5, 3.0, math.nan], [1.5, math.inf], lambda n: 2.0 - n, []],
+        ids=["exhausted", "one", "nan", "inf", "callable_drops_to_one", "empty"],
+    )
+    def test_bad_streams(self, source):
+        stream = lambda: CantorBaseStream(source)
+        for x, n in ((0.5, 0), (0.5, 1), (0.5, 2), (0.5, 7), (0.25, 1200), (1.0, 3), (0.5, -1)):
+            got = _cantor_outcome(greedy_expand_cantor, stream, x, n)
+            assert got == _cantor_outcome(greedy_expand_cantor_reference, stream, x, n)
 
 
 class TestInvariants:

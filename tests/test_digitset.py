@@ -22,7 +22,7 @@ from altbase import digitset
 from altbase.errors import AlphabetError, DomainError, NotAllowable, SearchTooLarge
 from altbase.oracle import SplitMix64
 from helpers import PHI, base13, random_base
-from reference import composed_period_value_reference
+from reference import composed_period_value_reference, nondecreasing_by_criterion_reference
 
 R5 = math.sqrt(5)
 
@@ -95,6 +95,25 @@ class TestAllowable:
         for _ in range(100):
             b = random_base(rng, pmax=4, lo=1.05, hi=5.0)
             assert is_allowable(delta_set(b))
+
+
+class TestDigitSetInvariant:
+    """A digit set holds two or more digits ascending strictly from 0.0, over a finite base > 1."""
+
+    @pytest.mark.parametrize(
+        "digits",
+        [(), (0.0,), (1.0, 2.0), (-1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (0.0, 2.0, 1.0), (0.0, math.nan)],
+        ids=["empty", "one_digit", "no_zero", "below_zero", "repeated", "descending", "nan"],
+    )
+    def test_rejects_digits(self, digits):
+        with pytest.raises(AlphabetError):
+            DigitSet(digits, 2.0)
+
+    @pytest.mark.parametrize("beta", [1, 1.0, 0.5, -2.0, math.inf, math.nan])
+    def test_rejects_base(self, beta):
+        # beta = 1 used to divide by zero in xsup, and one digit made max() raise in is_allowable
+        with pytest.raises(DomainError):
+            DigitSet((0.0, 1.0), beta)
 
 
 class TestTilde:
@@ -200,6 +219,16 @@ class TestNondecreasing:
 
     def test_integer_blocks_monotone(self):
         assert nondecreasing_bruteforce(new_base((2.0, 2.0)))
+
+    def test_one_pass_matches_per_cut_sums(self):
+        rng = SplitMix64(39)
+        verdicts = []
+        for k in range(2400):
+            p = 1 + k % 8
+            b = random_base(rng, pmin=p, pmax=p, lo=1.05, hi=3.0)
+            verdicts.append(nondecreasing_by_criterion(b))
+            assert verdicts[-1] == nondecreasing_by_criterion_reference(b)
+        assert verdicts.count(True) > 400 and verdicts.count(False) > 400
 
     def test_criterion_matches_bruteforce(self):
         rng = SplitMix64(34)

@@ -1,3 +1,4 @@
+import bisect
 import math
 import os
 import pathlib
@@ -9,7 +10,7 @@ import pytest
 
 from altbase import measure
 from altbase.core import StatePoint, greedy_step, new_base
-from altbase.errors import DomainError, SingularSystem, TruncationTooShallow
+from altbase.errors import AlphabetError, DomainError, SingularSystem, TruncationTooShallow
 from altbase.expr import parse_base_list
 from altbase.measure import (
     EPS_GEO,
@@ -17,7 +18,6 @@ from altbase.measure import (
     IntervalMeasureQuery,
     PiecewiseLinearMap,
     _endpoint_orbits,
-    _snap_to_breakpoints,
     compose_map,
     density_eval,
     entropy,
@@ -39,7 +39,8 @@ from reference import (
     gora_density_reference,
     left_limit_reference,
     measure_interval_reference,
-    snap_to_breakpoints_reference,
+    orbit_of_one_density,
+    step_density_eval,
 )
 
 
@@ -264,6 +265,17 @@ class TestFrequency:
             top = max(b.alphabets)
             assert sum(frequency(b, d) for d in range(top + 1)) == pytest.approx(1.0, abs=1e-10)
 
+    def test_rejects_non_integer_digit(self):
+        b = new_base((1.5, 2.5))
+        for digit in (0.5, 1.0, np.float64(1.0), "1"):
+            with pytest.raises(AlphabetError, match="not an integer"):
+                frequency(b, digit)
+
+    def test_integer_types_agree(self):
+        b = new_base((1.5, 2.5))
+        assert frequency(b, True) == frequency(b, np.int64(1)) == frequency(b, 1)
+        assert frequency(b, np.uint8(0)) == frequency(b, False) == frequency(b, 0)
+
 
 class TestEntropyAndProduct:
     def test_entropy_values(self):
@@ -324,9 +336,6 @@ class TestLookupsMatchSearchsorted:
             for x in pts:
                 assert m.branch_of(x) == branch_of_reference(m, x)
                 assert m.left_limit(x) == left_limit_reference(m, x)
-                assert _snap_to_breakpoints(x, m.endpoints) == snap_to_breakpoints_reference(
-                    x, m.endpoints
-                )
 
     def test_density_lookups(self, maps_and_specs):
         for m, spec in maps_and_specs:
@@ -336,12 +345,6 @@ class TestLookupsMatchSearchsorted:
             for a, b in zip(pts, pts[1:] + [1.0]):
                 for lo, hi in ((a, a), (a, b), (a, 1.0)):
                     assert measure_interval(spec, lo, hi) == measure_interval_reference(spec, lo, hi)
-
-    def test_snap_between_close_breakpoints(self):
-        # two breakpoints within EPS_GEO: the side decides which one a tie snaps to
-        ends = (0.0, 0.5, 0.5 + 5e-10, 0.5 + 1e-9, 1.0)
-        for x in _with_neighbours(ends):
-            assert _snap_to_breakpoints(x, ends) == snap_to_breakpoints_reference(x, ends)
 
     def test_thresholds_have_ties(self, maps_and_specs):
         # side="left" and side="right" differ only on ties, so the keys must have some
@@ -469,6 +472,13 @@ def _close_breakpoint_map(gap, land):
     return PiecewiseLinearMap((0.0, 1 / 3, 0.5, upper, upper + (0.5 + land) / 3, 1.0), 3.0, 1.0)
 
 
+def _close_chain_map(chain, land):
+    """Slope 3 with breakpoints 4e-10 and ``chain``; the cut 4e-10 + land/3 lands at ``land``."""
+    v = 4e-10 + land / 3
+    ends = (0.0, 4e-10, v) + ((v + 1 / 3,) if v + 1 / 3 < chain[0] else ()) + chain
+    return PiecewiseLinearMap(ends + (chain[-1] + 1 / 3, 1.0), 3.0, 1.0)
+
+
 class TestEndpointOrbitsMatchReference:
     """One bisect per orbit point gives the one-_modified_step-per-point orbits bit for bit."""
 
@@ -505,11 +515,97 @@ class TestEndpointOrbitsMatchReference:
         m = _close_breakpoint_map(5e-10, 7e-10)
         assert gora_density(m).orbit[-2][:3] == (m.endpoints[3], 0.5, 0.5)
 
+    def test_snap_between_close_breakpoints(self):
+        # a chain of three breakpoints, each within EPS_GEO of the next, and one within EPS_GEO
+        # of 0; a cut's orbit starts at each land, on and one ulp beside every breakpoint
+        chain = (0.5, 0.5 + 5e-10, 0.5 + 1e-9)
+        near_zero = (4e-10, 1e-9, 1.2e-9, 1.4e-9)
+        for land in _with_neighbours((1.0,) + chain + near_zero):
+            if land < 1.0 - 2 * EPS_GEO:
+                for M in (None, 200):
+                    _assert_matches_reference(_close_chain_map(chain, land), M)
+
     def test_points_past_the_last_breakpoint(self):
         # a branch wider than 1/slope maps past domain_end, where branch_of clamps to the last branch
         m = PiecewiseLinearMap((0.0, 0.3, 1.0), 2.5, 1.0)
         assert gora_density(m).orbit[0][:3] == (0.75, 1.125, 2.0625)
         _assert_matches_reference(m)
+
+
+# relative gap allowed between density_eval and the orbit-of-1 density away from thresholds
+ORBIT_OF_ONE_REL = 1e-10
+GRID = 3000
+
+
+def _orbit_of_one_gaps(base):
+    """Per slot, the largest relative gap between the two densities and the points compared.
+
+    The grid points are the GRID cell midpoints at least EPS_GEO from every
+    threshold of either density, where closed and open indicators agree.
+    """
+    out = []
+    for spec, steps in zip(slot_densities(base), orbit_of_one_density(base)):
+        keys = sorted(set(spec.thresholds) | {t for t, _ in steps})
+        worst, n = 0.0, 0
+        for k in range(GRID):
+            x = (k + 0.5) / GRID
+            j = bisect.bisect_left(keys, x)
+            if (j < len(keys) and keys[j] - x < EPS_GEO) or (j and x - keys[j - 1] < EPS_GEO):
+                continue
+            got = density_eval(spec, x)
+            worst = max(worst, abs(got - step_density_eval(steps, x)) / got)
+            n += 1
+        out.append((worst, n))
+    return out
+
+
+# Against exact rational arithmetic on the same float betas, slot 1 of random15-p8 has the
+# orbit-of-1 density within 1.3e-16 and gora_density 1.06e-10 off at x = 0.67517.  Góra's
+# construction run exactly on the float composed map gives gora_density's value, and the gap
+# is the weight B^-8 of one 8th orbit point: the map's endpoint rounding, grown by the slope
+# 17.65 at each step, moves that point across x.  A strict xfail until item 1 Stage B.
+KNOWN_GAP = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="gora_density off by 1.06e-10"
+)
+
+
+def _orbit_of_one_bases():
+    """The named bases but 3+1.5e-12 (pinned on its own below) and 40 seeded random bases."""
+    named = [text for text in NAMED_BASES if text not in ("2", "3+1.5e-12")]
+    bases = [pytest.param(new_base(parse_base_list(text)), id=text) for text in named]
+    rng = SplitMix64(44)
+    for k in range(40):
+        p = 1 + k % 8
+        name = f"random{k:02d}-p{p}"
+        base = random_base(rng, p, p, hi=ORBIT_RANDOM_HI[p])
+        bases.append(pytest.param(base, id=name, marks=KNOWN_GAP if name == "random15-p8" else ()))
+    return bases
+
+
+class TestOrbitOfOneDensity:
+    """The composed-map density agrees with the paper's density from the greedy orbits of 1."""
+
+    @pytest.mark.parametrize("base", _orbit_of_one_bases())
+    def test_matches_density_eval(self, base):
+        for worst, n in _orbit_of_one_gaps(base):
+            assert n >= GRID - 10
+            assert worst <= ORBIT_OF_ONE_REL
+
+    @pytest.mark.parametrize("text", ["2", "3", "2,3", "5,2,4"])
+    def test_integer_bases_are_uniform(self, text):
+        # 1 has the one-digit expansion beta, so every orbit of 1 ends at 0 at once
+        base = new_base(parse_base_list(text))
+        assert all(steps == ((1.0, 1.0),) for steps in orbit_of_one_density(base))
+        assert all(worst == 0.0 for worst, _ in _orbit_of_one_gaps(base))
+
+    def test_just_above_three(self):
+        # the one cut, 1.0, lies within EPS_GEO of the breakpoint 3/beta, so its orbit starts and
+        # stays there and the density is flat; the exact orbit of 1 grows from 1.5e-12 instead,
+        # and the two differ by up to 3.9e-9 relative near 0 (ROADMAP item 5)
+        base = new_base(parse_base_list("3+1.5e-12"))
+        (spec,) = slot_densities(base)
+        assert spec.K == 1 and set(spec.orbit[0]) == {compose_map(base, 0).endpoints[3]}
+        assert len({density_eval(spec, (k + 0.5) / GRID) for k in range(GRID)}) == 1
 
 
 class TestCorrectionMatrixStorage:

@@ -3,10 +3,10 @@ import struct
 import warnings
 from itertools import chain, islice
 
+import numpy as np
 import pytest
 
 from altbase.core import (
-    _greedy_digit,
     _greedy_run,
     greedy_expand,
     lazy_expand,
@@ -29,6 +29,7 @@ from helpers import BASE13_BETAS, PHI, base13, random_base
 from reference import (
     birkhoff_frequency_reference,
     empirical_histogram_reference,
+    greedy_digit_reference,
     lex_greatest_naive,
     lex_least_naive,
 )
@@ -148,6 +149,17 @@ class TestBirkhoff:
         total = sum(birkhoff_frequency(b, 0.3125, d, N) for d in range(3))
         assert total == 1.0
 
+    def test_float_count_rejected(self):
+        # a float N raises TypeError before any range check, as range(n) does
+        for N in (1000.0, 0.5, -1.0):
+            with pytest.raises(TypeError):
+                birkhoff_frequency(base13(), 0.3, 0, N)
+        with pytest.raises(DomainError):
+            birkhoff_frequency(base13(), 0.3, 0, 0)
+        assert birkhoff_frequency(base13(), 0.3, 0, np.int64(1000)) == birkhoff_frequency(
+            base13(), 0.3, 0, 1000
+        )
+
 
 class TestHistogram:
     def test_empty(self):
@@ -157,6 +169,13 @@ class TestHistogram:
     def test_negative_n_rejected(self):
         with pytest.raises(DomainError):
             empirical_histogram(base13(), 0, 0.3, -1, 8)
+
+    def test_float_count_rejected(self):
+        for N in (1000.0, 0.5, -1.0):
+            with pytest.raises(TypeError):
+                empirical_histogram(base13(), 0, 0.3, N, 8)
+        st = empirical_histogram(base13(), 0, 0.3, np.int64(1000), 8)
+        assert st.counts == empirical_histogram(base13(), 0, 0.3, 1000, 8).counts
 
     def test_counts_sum(self):
         st = empirical_histogram(base13(), 1, 0.371, 5000, 16)
@@ -215,9 +234,9 @@ class TestOrbitMatchesScalarReference:
 
 @pytest.mark.parametrize("betas", ORBIT_BASES.values(), ids=ORBIT_BASES.keys())
 def test_orbit_digit_is_greedy_digit(betas):
-    """The dithered orbit and core._greedy_run inline the greedy digit rule; both must stay it."""
+    """The dithered orbit and core's greedy loop inline the greedy digit rule; both must stay it."""
     b = new_base(betas)
     rotated = [shift_base(b, i) for i in range(b.p)]
     for i, x, d in islice(_greedy_orbit(b, math.sqrt(2) - 1), 10**4):
-        assert d == _greedy_digit(b.betas[i] * x, b.alphabets[i])
+        assert d == greedy_digit_reference(b.betas[i] * x, b.alphabets[i])
         assert _greedy_run(rotated[i], x, 1)[0] == [d]
