@@ -219,6 +219,8 @@ def _greedy_loop(slots: Iterable[tuple[float, int, float]], x: float) -> tuple[l
 
     x already lies in the first domain.  A remainder below EPS_SNAP is 0 (the
     snapped floor may exceed beta*x by a hair), one above cap is cap.
+    greedy_step and the orbit statistics' tally loop (oracle._orbit_tally)
+    inline this digit rule; tests pin all three to one reference rule.
     """
     out = []
     for beta, m, hi in slots:
@@ -369,5 +371,7 @@ def greedy_expand_cantor(seq: CantorBaseStream, x: float, n: int) -> DigitWord:
     if not (0.0 <= x < 1.0):
         raise DomainError(f"greedy expansion over a base stream needs x in [0,1), got {x!r}")
     bs = [seq.beta(k) for k in range(_digit_count(n))]
-    digits, _ = _greedy_loop(zip(bs, [snap_ceil(b) - 1 for b in bs], repeat(math.inf)), x)
+    # cap 1.0: a digit capped at the alphabet (beta a hair above an integer) leaves a
+    # remainder above 1 that would otherwise grow by beta each step until it overflows
+    digits, _ = _greedy_loop(zip(bs, [snap_ceil(b) - 1 for b in bs], repeat(1.0)), x)
     return DigitWord(tuple(digits), 0)

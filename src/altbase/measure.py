@@ -13,6 +13,7 @@ over intervals, and uses it for digit frequencies.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -46,6 +47,16 @@ class PiecewiseLinearMap:
     endpoints: tuple[float, ...]
     slope: float
     domain_end: float
+
+    def __post_init__(self) -> None:
+        # the bisect lookups need strictly ascending endpoints; branch widths go unchecked
+        e = self.endpoints
+        ends_ok = len(e) >= 2 and e[0] == 0.0 and e[-1] == self.domain_end
+        if not (ends_ok and all(map(operator.lt, e, e[1:])) and 1.0 < self.slope < math.inf):
+            raise DomainError(
+                f"need endpoints ascending strictly from 0.0 to {self.domain_end!r} and a finite"
+                f" slope above 1, got {e!r} and {self.slope!r}"
+            )
 
     @property
     def branch_count(self) -> int:

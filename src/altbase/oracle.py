@@ -14,11 +14,11 @@ import operator
 import struct
 from dataclasses import dataclass
 from itertools import chain, cycle, islice
-from operator import countOf, itemgetter
+from numbers import Integral
 from typing import Iterator, Optional
 
 from .core import EPS_SNAP, AlternateBase, StatePoint
-from .errors import DomainError, SearchTooLarge
+from .errors import AlphabetError, DomainError, SearchTooLarge
 
 ENUMERATION_BOUND = 10**7
 
@@ -186,29 +186,47 @@ def _dither_blocks(seed: int) -> Iterator[list[float]]:
         yield (lo + (z >> u64(11)) * 2.0**-53 * (hi - lo)).tolist()
 
 
-def _greedy_orbit(base: AlternateBase, x0: float) -> Iterator[tuple[int, float, int]]:
-    """The dithered greedy orbit of (0, x0): ``(slot, x, digit)`` forever.
+def _orbit_tally(
+    base: AlternateBase, x0: float, steps: int, digit: int, slot: int, bins: int
+) -> tuple[int, list[int]]:
+    """``steps`` steps of the dithered greedy orbit of (0, x0): how many digits
+    equal ``digit``, and the ``bins``-bin histogram over [0,1) of the points
+    seen at ``slot`` (-1 for either: no digit is negative, no slot is -1).
 
     The restricted transformation on [0,1); each step's point is clamped
     back into [0,1) after the dither is added.
     """
     (bits,) = struct.unpack("<Q", struct.pack("<d", x0))
     dither = chain.from_iterable(_dither_blocks(bits ^ _DITHER_SALT))
-    slots = cycle(tuple(zip(range(base.p), base.betas, base.alphabets)))
+    at_slot = [i == slot for i in range(base.p)]
+    per_slot = tuple(zip(base.betas, map(float, base.alphabets), at_slot))
+    counts = [0] * bins
+    hits = 0
+    eps, below_one, fbins = EPS_SNAP, _BELOW_ONE, float(bins)
+    # float == float is the fastest compare; no digit above every alphabet is ever hit
+    digit = float(min(digit, max(base.alphabets) + 1))
     x = x0
-    for (i, beta, top), u in zip(slots, dither):
-        # the digit rule of core._greedy_loop inlined: a call here costs 12-18%
-        # per step (1e5-step orbits on sqrt13, 2-vCPU Xeon VM)
+    for (beta, top, seen), u in zip(islice(cycle(per_slot), steps), dither):
+        if seen:
+            k = int(x * fbins)
+            if k >= bins:
+                k = bins - 1
+            counts[k] += 1
+        # core._greedy_loop's digit rule inlined (a call costs 12-18% per step) as a
+        # float floor: for y >= 0 it has the value of int(y + eps), and alphabets
+        # below 2**53 are exact floats, so y - d and d == digit are unchanged
         y = beta * x
-        d = int(y + EPS_SNAP)
+        d = (y + eps) // 1.0
         if d > top:
             d = top
-        yield i, x, d
+        if d == digit:
+            hits += 1
         x = y - d + u
         if x < 0.0:
             x = 0.0
         elif x >= 1.0:
-            x = _BELOW_ONE
+            x = below_one
+    return hits, counts
 
 
 def birkhoff_frequency(
@@ -226,6 +244,10 @@ def birkhoff_frequency(
     stream for ``seed``; the seed plays no other role.  Deterministic starts
     should be generic; sqrt(2) - 1 is a reasonable default.
     """
+    if not isinstance(digit, Integral):
+        raise AlphabetError(f"digit {digit!r} is not an integer")
+    if digit < 0:
+        raise DomainError("digits are nonnegative")
     N = operator.index(N)  # a float count raises TypeError, as range(n) does
     if N < 1:
         raise DomainError("N must be positive")
@@ -233,8 +255,7 @@ def birkhoff_frequency(
         x0 = SplitMix64(seed).uniform()
     if not (0.0 <= x0 < 1.0):
         raise DomainError(f"starting point {x0!r} outside [0,1)")
-    digits = map(itemgetter(2), islice(_greedy_orbit(base, x0), N))
-    return countOf(digits, digit) / N
+    return _orbit_tally(base, x0, N, int(digit), -1, 0)[0] / N
 
 
 @dataclass(frozen=True)
@@ -257,7 +278,7 @@ def empirical_histogram(
     Collects the N values the greedy orbit of (0, x0) takes at steps
     congruent to ``slot`` modulo the period, binned uniformly.
     """
-    N = operator.index(N)
+    N, slot, bins = operator.index(N), operator.index(slot), operator.index(bins)
     if N < 0:
         raise DomainError("N must be non-negative")
     if not (0.0 <= x0 < 1.0):
@@ -266,11 +287,5 @@ def empirical_histogram(
         raise DomainError("need at least one bin")
     if not (0 <= slot < base.p):
         raise DomainError(f"slot {slot} outside [0, {base.p})")
-    counts = [0] * bins
-    p = base.p
-    for _, x, _ in islice(_greedy_orbit(base, x0), slot, slot + N * p, p):
-        k = int(x * bins)
-        if k >= bins:
-            k = bins - 1
-        counts[k] += 1
+    counts = _orbit_tally(base, x0, slot + N * base.p, -1, slot, bins)[1]
     return EmpiricalStats(tuple(counts), N, None, StatePoint(0, x0))

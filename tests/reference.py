@@ -12,7 +12,9 @@ normalisation indexed per entry.  The greedy and lazy steps are the
 one-call-per-digit versions (a StatePoint per step, every state clamped and
 checked, slots taken mod p) that the expansions, evaluate and the period
 value behind compare_transforms must equal; greedy_digit_reference is the
-one greedy digit rule they and the expansion over a base stream inline.
+one greedy digit rule they, the expansion over a base stream and the
+orbit statistics inline, and the dithered reference step takes its digit
+from it.
 The monotonicity criterion is recomputed from scratch for every cut, and
 orbit_of_one_density is the paper's density from the greedy orbits of 1,
 an independent check of the composed-map construction.
@@ -85,9 +87,7 @@ def _dither_stream(x0):
 def _step(base, i, x, uniform):
     """One dithered greedy step at slot i: (digit, next point)."""
     y = base.betas[i] * x
-    d = int(y + EPS_SNAP)
-    if d > base.alphabets[i]:
-        d = base.alphabets[i]
+    d = greedy_digit_reference(y, base.alphabets[i])
     x = y - d + uniform(-DITHER_AMPLITUDE, DITHER_AMPLITUDE)
     if x < 0.0:
         x = 0.0
@@ -96,31 +96,30 @@ def _step(base, i, x, uniform):
     return d, x
 
 
+def dithered_orbit_reference(base, x0, steps):
+    """(slot, x, digit) at each of the first steps points of the dithered orbit of (0, x0)."""
+    uniform = _dither_stream(x0).uniform
+    out = []
+    x = x0
+    for n in range(steps):
+        i = n % base.p
+        d, nxt = _step(base, i, x, uniform)
+        out.append((i, x, d))
+        x = nxt
+    return out
+
+
 def birkhoff_frequency_reference(base, x0, digit, N, seed=0):
     if x0 is None:
         x0 = SplitMix64(seed).uniform()
-    uniform = _dither_stream(x0).uniform
-    x = x0
-    count = 0
-    for n in range(N):
-        d, x = _step(base, n % base.p, x, uniform)
-        if d == digit:
-            count += 1
-    return count / N
+    return sum(1 for _, _, d in dithered_orbit_reference(base, x0, N) if d == digit) / N
 
 
 def empirical_histogram_reference(base, slot, x0, N, bins):
-    uniform = _dither_stream(x0).uniform
     counts = [0] * bins
-    x = x0
-    i = 0
-    remaining = N
-    while remaining > 0:
+    for i, x, _ in dithered_orbit_reference(base, x0, slot + N * base.p):
         if i == slot:
             counts[min(int(x * bins), bins - 1)] += 1
-            remaining -= 1
-        _, x = _step(base, i, x, uniform)
-        i = (i + 1) % base.p
     return tuple(counts)
 
 
@@ -358,6 +357,8 @@ def greedy_expand_cantor_reference(seq, x, n):
         x = y - d
         if x < EPS_SNAP:
             x = 0.0
+        elif x > 1.0:
+            x = 1.0
         out.append(d)
     return DigitWord(tuple(out), 0)
 

@@ -451,6 +451,14 @@ class TestCantor:
         with pytest.raises(DomainError):
             greedy_expand_cantor(seq, 0.5, 2)
 
+    def test_remainder_capped_at_one(self):
+        # 3+1e-13 has alphabet 2, so from just below 1 the capped digit leaves a remainder
+        # above 1; uncapped it grew by beta each step until int() met inf
+        seq = CantorBaseStream(lambda n: 3 + 1e-13)
+        assert greedy_expand_cantor(seq, 0.99999999999999, 1200).digits == (2,) * 1200
+        seq = CantorBaseStream(lambda n: (3 + 1e-13, 5.5)[n % 2])
+        assert greedy_expand_cantor(seq, 0.99999999999999, 8).digits == (2, 5, 1, 2, 2, 1, 1, 0)
+
 
 def _cantor_outcome(expand, stream, x, n):
     try:
@@ -472,6 +480,7 @@ CANTOR_STREAMS = {
     "integers": lambda: CantorBaseStream(lambda n: 2 + n % 3),
     "random_list": lambda: CantorBaseStream(_random_betas(61, 1200)),
     "random_callable": lambda: CantorBaseStream(lambda n: 1.01 + (n * 0.6180339887) % 3.0),
+    "near_integer": lambda: CantorBaseStream(lambda n: (3 + 1e-13, 3 - 1e-13, 2 + 1e-12)[n % 3]),
 }
 
 

@@ -97,6 +97,24 @@ class TestComposeMap:
         with pytest.raises(DomainError):
             single_map(beta)
 
+    @pytest.mark.parametrize(
+        "endpoints, slope",
+        [
+            ((0.0, 0.5, 0.4, 1.0), 3.0),  # gora_density gave C near 2 for this one
+            ((0.0, 0.5, 0.5, 1.0), 3.0),
+            ((0.0,), 3.0),
+            ((0.1, 0.5, 1.0), 3.0),
+            ((0.0, 0.5, 0.9), 3.0),
+            ((0.0, math.nan, 1.0), 3.0),
+            ((0.0, 0.5, 1.0), 1.0),
+            ((0.0, 0.5, 1.0), math.inf),
+            ((0.0, 0.5, 1.0), math.nan),
+        ],
+    )
+    def test_map_rejects_bad_endpoints_and_slopes(self, endpoints, slope):
+        with pytest.raises(DomainError):
+            PiecewiseLinearMap(endpoints, slope, 1.0)
+
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_left_limit_rejects_non_finite(self, x):
         with pytest.raises(DomainError):

@@ -13,13 +13,14 @@ from altbase.core import (
     new_base,
     shift_base,
 )
-from altbase.errors import DomainError, SearchTooLarge
+from altbase import oracle
+from altbase.errors import AlphabetError, DomainError, SearchTooLarge
 from altbase.oracle import (
     _DITHER_BLOCK,
     DITHER_AMPLITUDE,
     SplitMix64,
     _dither_blocks,
-    _greedy_orbit,
+    _orbit_tally,
     birkhoff_frequency,
     empirical_histogram,
     lex_greatest,
@@ -28,8 +29,8 @@ from altbase.oracle import (
 from helpers import BASE13_BETAS, PHI, base13, random_base
 from reference import (
     birkhoff_frequency_reference,
+    dithered_orbit_reference,
     empirical_histogram_reference,
-    greedy_digit_reference,
     lex_greatest_naive,
     lex_least_naive,
 )
@@ -160,6 +161,28 @@ class TestBirkhoff:
             base13(), 0.3, 0, 1000
         )
 
+    def test_non_integer_digit_rejected(self):
+        # 1.0 == 1, so a float digit would be counted as an integer one
+        for digit in (0.5, 1.0, np.float64(1.0), "1"):
+            with pytest.raises(AlphabetError):
+                birkhoff_frequency(base13(), 0.3, digit, 1000)
+
+    def test_negative_digit_rejected(self):
+        with pytest.raises(DomainError):
+            birkhoff_frequency(base13(), 0.3, -1, 1000)
+
+    def test_digit_reaches_the_loop_as_int(self, monkeypatch):
+        seen = []
+
+        def spy(base, x0, steps, digit, slot, bins):
+            seen.append(type(digit))
+            return 0, []
+
+        monkeypatch.setattr(oracle, "_orbit_tally", spy)
+        for digit in (np.int64(1), np.uint8(1), True, 1):
+            birkhoff_frequency(base13(), 0.3, digit, 1000)
+        assert seen == [int] * 4
+
 
 class TestHistogram:
     def test_empty(self):
@@ -176,6 +199,26 @@ class TestHistogram:
                 empirical_histogram(base13(), 0, 0.3, N, 8)
         st = empirical_histogram(base13(), 0, 0.3, np.int64(1000), 8)
         assert st.counts == empirical_histogram(base13(), 0, 0.3, 1000, 8).counts
+
+    def test_non_integer_slot_and_bins_rejected(self):
+        # a float slot would match no step of the loop and leave every bin empty
+        for slot in (1.5, 1.0, np.float64(0.0)):
+            with pytest.raises(TypeError):
+                empirical_histogram(base13(), slot, 0.3, 100, 8)
+        for bins in (8.0, 0.5):
+            with pytest.raises(TypeError):
+                empirical_histogram(base13(), 0, 0.3, 100, bins)
+
+    def test_slot_and_bins_reach_the_loop_as_int(self, monkeypatch):
+        seen = []
+
+        def spy(base, x0, steps, digit, slot, bins):
+            seen.append((type(steps), type(slot), type(bins)))
+            return 0, [0] * bins
+
+        monkeypatch.setattr(oracle, "_orbit_tally", spy)
+        st = empirical_histogram(base13(), np.int64(1), 0.3, np.int64(100), np.int32(8))
+        assert seen == [(int, int, int)] and st.counts == (0,) * 8
 
     def test_counts_sum(self):
         st = empirical_histogram(base13(), 1, 0.371, 5000, 16)
@@ -204,7 +247,12 @@ ORBIT_BASES = {
     "two": (2.0,),
     "phi_phi_sqrt5": (PHI, PHI, math.sqrt(5)),
     "period5": (1.3, 2.7, 1.9, 3.4, 1.15),
+    # near-integer bases: the snapped floor and the alphabet cap decide digits here
+    "three_plus": (3 + 1e-13,),
+    "three_minus": (3 - 1e-13,),
+    "two_plus": (2 + 1e-12,),
 }
+BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 @pytest.mark.parametrize("betas", ORBIT_BASES.values(), ids=ORBIT_BASES.keys())
@@ -224,6 +272,13 @@ class TestOrbitMatchesScalarReference:
             got = birkhoff_frequency(b, math.sqrt(2) - 1, d, N)
             assert got == birkhoff_frequency_reference(b, math.sqrt(2) - 1, d, N)
 
+    def test_birkhoff_at_the_ends_of_the_interval(self, betas):
+        b = new_base(betas)
+        N = 500 * b.p + 1  # one step into a period
+        for x0 in (0.0, BELOW_ONE):
+            for d in range(max(b.alphabets) + 2):
+                assert birkhoff_frequency(b, x0, d, N) == birkhoff_frequency_reference(b, x0, d, N)
+
     def test_histogram_across_blocks(self, betas):
         b = new_base(betas)
         N = _DITHER_BLOCK + 1
@@ -232,11 +287,31 @@ class TestOrbitMatchesScalarReference:
             assert st.counts == empirical_histogram_reference(b, slot, 0.371, N, 16)
 
 
+PIN_STEPS = 10**4 + 1  # not a multiple of the period 2, 3 or 5
+PIN_BINS = 2**16
+
+
 @pytest.mark.parametrize("betas", ORBIT_BASES.values(), ids=ORBIT_BASES.keys())
 def test_orbit_digit_is_greedy_digit(betas):
-    """The dithered orbit and core's greedy loop inline the greedy digit rule; both must stay it."""
+    """The orbit loop and core's greedy loop inline the greedy digit rule; both must stay it.
+
+    The reference orbit takes each digit from greedy_digit_reference.  Every digit
+    count and every slot's fine histogram of the loop must equal the reference's,
+    which fixes the digit and the point of every step.
+    """
     b = new_base(betas)
     rotated = [shift_base(b, i) for i in range(b.p)]
-    for i, x, d in islice(_greedy_orbit(b, math.sqrt(2) - 1), 10**4):
-        assert d == greedy_digit_reference(b.betas[i] * x, b.alphabets[i])
-        assert _greedy_run(rotated[i], x, 1)[0] == [d]
+    for x0 in (math.sqrt(2) - 1, 0.0, BELOW_ONE):
+        orbit = dithered_orbit_reference(b, x0, PIN_STEPS)
+        for d in range(max(b.alphabets) + 2):
+            hits, _ = _orbit_tally(b, x0, PIN_STEPS, d, -1, 0)
+            assert hits == sum(1 for _, _, e in orbit if e == d)
+        for slot in range(b.p):
+            _, counts = _orbit_tally(b, x0, PIN_STEPS, -1, slot, PIN_BINS)
+            expect = [0] * PIN_BINS
+            for i, x, _ in orbit:
+                if i == slot:
+                    expect[min(int(x * PIN_BINS), PIN_BINS - 1)] += 1
+            assert counts == expect
+        for i, x, d in orbit:
+            assert _greedy_run(rotated[i], x, 1)[0] == [d]
