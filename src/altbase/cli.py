@@ -107,16 +107,15 @@ def _digit_string(digits) -> str:
     return ",".join(str(d) for d in digits)
 
 
-def _check_at_least(option: str, value: int | None, least: int) -> None:
-    """Reject a count below ``least``; None leaves the default in place."""
-    if value is not None and value < least:
+def _check_at_least(option: str, value: int, least: int) -> None:
+    """Reject a count below ``least``."""
+    if value < least:
         raise DomainError(f"{option} must be at least {least}, got {value}")
 
 
-def _sample_grid(lo: float, hi: float, cuts: Iterable[float], per_unit: int | None = None) -> list[float]:
+def _sample_grid(lo: float, hi: float, cuts: Iterable[float], per_unit: int) -> list[float]:
     """Uniform samples plus both sides of every interior cut."""
-    rate = SAMPLES_PER_UNIT if per_unit is None else per_unit
-    n = max(2, int(round(rate * (hi - lo))))
+    n = max(2, int(round(per_unit * (hi - lo))))
     pts = [lo + (hi - lo) * k / n for k in range(n)]
     for c in cuts:
         for q in (c - EPS_SNAP, c + EPS_SNAP):
@@ -337,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("density", cmd_density, help="invariant density data for one slot")
     p.add_argument("--slot", type=int, default=0)
     p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=SAMPLES_PER_UNIT)
     p.add_argument("--csv", default=None)
 
     p = add("measure", cmd_measure, help="invariant measure of an interval")
@@ -363,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("graph", cmd_graph, help="sampled transformation graphs as CSV")
     p.add_argument("--mode", choices=("greedy", "lazy", "both"), default="both")
-    p.add_argument("--samples", type=int, default=None, help="samples per unit length")
+    p.add_argument("--samples", type=int, default=SAMPLES_PER_UNIT, help="samples per unit length")
     p.add_argument("--csv", required=True)
 
     return ap

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 from .core import AlternateBase, snap_ceil
 from .errors import AlphabetError, DomainError, SingularSystem, TruncationTooShallow
+from .oracle import check_enumeration_bound
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,24 +38,23 @@ COND_MAX = 1e10
 
 @dataclass(frozen=True)
 class PiecewiseLinearMap:
-    """Constant-slope map with branches x -> slope * (x - a_k) on [a_k, a_{k+1}).
+    """Constant-slope map of [0,1) with branches x -> slope * (x - a_k) on [a_k, a_{k+1}).
 
-    ``endpoints`` holds a_0 = 0 < a_1 < ... < a_K = domain_end, so branch k
-    lives between endpoints k and k+1.  Every branch width is at most
-    1/slope, which keeps the family closed under composition.
+    ``endpoints`` holds a_0 = 0 < a_1 < ... < a_K = 1, so branch k lives
+    between endpoints k and k+1.  Every branch width is at most 1/slope,
+    which keeps the family closed under composition.
     """
 
     endpoints: tuple[float, ...]
     slope: float
-    domain_end: float
 
     def __post_init__(self) -> None:
         # the bisect lookups need strictly ascending endpoints; branch widths go unchecked
         e = self.endpoints
-        ends_ok = len(e) >= 2 and e[0] == 0.0 and e[-1] == self.domain_end
+        ends_ok = len(e) >= 2 and e[0] == 0.0 and e[-1] == 1.0
         if not (ends_ok and all(map(operator.lt, e, e[1:])) and 1.0 < self.slope < math.inf):
             raise DomainError(
-                f"need endpoints ascending strictly from 0.0 to {self.domain_end!r} and a finite"
+                "need endpoints ascending strictly from 0.0 to 1.0 and a finite"
                 f" slope above 1, got {e!r} and {self.slope!r}"
             )
 
@@ -70,8 +70,8 @@ class PiecewiseLinearMap:
         return self.slope * (self.endpoints[k + 1] - self.endpoints[k])
 
     def __call__(self, x: float) -> float:
-        if not (0.0 <= x < self.domain_end):
-            raise DomainError(f"{x!r} outside [0, {self.domain_end!r})")
+        if not (0.0 <= x < 1.0):
+            raise DomainError(f"{x!r} outside [0, 1)")
         return self.slope * (x - self.endpoints[self.branch_of(x)])
 
     def left_limit(self, x: float) -> float:
@@ -89,26 +89,7 @@ def single_map(beta: float) -> PiecewiseLinearMap:
         raise DomainError(f"slope {beta!r} must be finite and exceed 1")
     m = snap_ceil(beta) - 1
     pts = [k / beta for k in range(m + 1)] + [1.0]
-    return PiecewiseLinearMap(tuple(pts), beta, 1.0)
-
-
-def _compose(outer: PiecewiseLinearMap, inner: PiecewiseLinearMap) -> PiecewiseLinearMap:
-    """outer after inner; refines the inner partition by pulled-back breakpoints."""
-    s = inner.slope
-    pts: list[float] = []
-    a = inner.endpoints
-    b = outer.endpoints
-    for k in range(inner.branch_count):
-        lo, hi = a[k], a[k + 1]
-        pts.append(lo)
-        for bl in b[1:-1]:
-            q = lo + bl / s
-            if q >= hi - MERGE_GAP:
-                break
-            if q - pts[-1] > MERGE_GAP:
-                pts.append(q)
-    pts.append(inner.domain_end)
-    return PiecewiseLinearMap(tuple(pts), s * outer.slope, inner.domain_end)
+    return PiecewiseLinearMap(tuple(pts), beta)
 
 
 def compose_map(base: AlternateBase, slot: int) -> PiecewiseLinearMap:
@@ -116,15 +97,32 @@ def compose_map(base: AlternateBase, slot: int) -> PiecewiseLinearMap:
 
     The returned map applies the base of ``slot`` first and the base of
     ``slot + p - 1`` last, acting on [0,1) with slope equal to the period
-    product.
+    product.  Each later base refines the partition so far: its cuts, pulled
+    back through the slope s so far, split every branch they fall inside.
     """
     p = base.p
     if not (0 <= slot < p):
         raise DomainError(f"slot {slot} outside [0, {p})")
-    acc = single_map(base.betas[slot])
+    # a period map has at most one branch per digit block
+    check_enumeration_bound(base, p, "composed-map branch")
+    s = base.betas[slot]
+    pts = single_map(s).endpoints
     for j in range(1, p):
-        acc = _compose(single_map(base.betas[(slot + j) % p]), acc)
-    return acc
+        b = base.betas[(slot + j) % p]
+        cuts = single_map(b).endpoints[1:-1]
+        refined: list[float] = []
+        for lo, hi in zip(pts, pts[1:]):
+            refined.append(lo)
+            for bl in cuts:
+                q = lo + bl / s
+                if q >= hi - MERGE_GAP:
+                    break
+                if q - refined[-1] > MERGE_GAP:
+                    refined.append(q)
+        refined.append(1.0)
+        pts = refined
+        s *= b
+    return PiecewiseLinearMap(tuple(pts), s)
 
 
 @dataclass(frozen=True)
@@ -211,11 +209,10 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
         raise TruncationTooShallow(
             f"depth {M} leaves a geometric tail above {SERIES_TAIL:g} for slope {B!r}"
         )
-    top = map_.domain_end
     cs = [
         map_.endpoints[k + 1]
         for k in range(map_.branch_count)
-        if map_.branch_image_top(k) < top - EPS_GEO
+        if map_.branch_image_top(k) < 1.0 - EPS_GEO
     ]
     K = len(cs)
     if K == 0:
@@ -232,13 +229,13 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
         raise SingularSystem("Id - S is singular or too ill-conditioned")
     dtail = np.linalg.solve(A.T, np.ones(K)).tolist()
 
-    C = 1.0 * top
+    C = 1.0
     thresholds = []
     weights = []
     pw = powers.tolist()
     for dj, orb in zip(dtail, orbits):
         for x, p in zip(orb, pw):
-            t = top if top < x else x  # min(x, top), the same float object
+            t = 1.0 if 1.0 < x else x  # min(x, 1.0), the same float object
             w = dj * p
             C += w * t
             thresholds.append(t)
@@ -305,7 +302,7 @@ def measure_interval(spec: DensitySpec, a: float, b: float) -> float:
 
 def preimage(map_: PiecewiseLinearMap, a: float, b: float) -> list[tuple[float, float]]:
     """Disjoint ascending intervals mapped into [a, b) by the map."""
-    if not (0.0 <= a <= b <= map_.domain_end):
+    if not (0.0 <= a <= b <= 1.0):
         raise DomainError(f"bad interval [{a!r}, {b!r})")
     out = []
     s = map_.slope
@@ -317,17 +314,17 @@ def preimage(map_: PiecewiseLinearMap, a: float, b: float) -> list[tuple[float, 
     return out
 
 
-def slot_densities(base: AlternateBase, M: int | None = None) -> tuple[DensitySpec, ...]:
+def slot_densities(base: AlternateBase) -> tuple[DensitySpec, ...]:
     """The invariant density of every slot's period map."""
-    return tuple(gora_density(compose_map(base, i), M) for i in range(base.p))
+    return tuple(gora_density(compose_map(base, i)) for i in range(base.p))
 
 
 def frequency(base: AlternateBase, digit: int) -> float:
     """Almost-sure frequency of a digit in greedy expansions.
 
     Averages, across slots, the invariant mass of the set of points that
-    emit the digit at that slot.  Digits beyond every alphabet have
-    frequency zero.
+    emit the digit at that slot.  A digit above a slot's alphabet m emits
+    nowhere there; the top digit m, capped, emits on all of [m/beta, 1).
     """
     if not isinstance(digit, Integral):
         raise AlphabetError(f"digit {digit!r} is not an integer")
@@ -335,11 +332,10 @@ def frequency(base: AlternateBase, digit: int) -> float:
         raise DomainError("digits are nonnegative")
     specs = slot_densities(base)
     total = 0.0
-    for i in range(base.p):
-        lo = min(digit / base.betas[i], 1.0)
-        hi = min((digit + 1) / base.betas[i], 1.0)
-        if hi > lo:
-            total += measure_interval(specs[i], lo, hi)
+    for spec, beta, m in zip(specs, base.betas, base.alphabets):
+        if digit <= m:
+            hi = 1.0 if digit == m else (digit + 1) / beta
+            total += measure_interval(spec, digit / beta, hi)
     return total / base.p
 
 

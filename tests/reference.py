@@ -15,9 +15,10 @@ value behind compare_transforms must equal; greedy_digit_reference is the
 one greedy digit rule they, the expansion over a base stream and the
 orbit statistics inline, and the dithered reference step takes its digit
 from it.
-The monotonicity criterion is recomputed from scratch for every cut, and
-orbit_of_one_density is the paper's density from the greedy orbits of 1,
-an independent check of the composed-map construction.
+The period map is built as a chain of two-map compositions, each one a
+validated map.  The monotonicity criterion is recomputed from scratch for
+every cut, and orbit_of_one_density is the paper's density from the greedy
+orbits of 1, an independent check of the composed-map construction.
 """
 
 import math
@@ -33,10 +34,13 @@ from altbase.digitset import AGREE_TOL
 from altbase.measure import (
     COND_MAX,
     EPS_GEO,
+    MERGE_GAP,
     SERIES_TAIL,
     DensitySpec,
+    PiecewiseLinearMap,
     _correction_matrix,
     default_truncation,
+    single_map,
 )
 from altbase.oracle import (
     _DITHER_SALT,
@@ -203,11 +207,10 @@ def gora_density_reference(map_, M=None):
         raise TruncationTooShallow(
             f"depth {M} leaves a geometric tail above {SERIES_TAIL:g} for slope {B!r}"
         )
-    top = map_.domain_end
     cs = [
         map_.endpoints[k + 1]
         for k in range(map_.branch_count)
-        if map_.branch_image_top(k) < top - EPS_GEO
+        if map_.branch_image_top(k) < 1.0 - EPS_GEO
     ]
     K = len(cs)
     if K == 0:
@@ -220,13 +223,13 @@ def gora_density_reference(map_, M=None):
         raise SingularSystem("Id - S is singular or too ill-conditioned")
     dtail = np.linalg.solve(A.T, np.ones(K))
     d = (1.0,) + tuple(float(v) for v in dtail)
-    C = 1.0 * top
+    C = 1.0
     thresholds = []
     weights = []
     pw = powers.tolist()
     for j in range(K):
         for m in range(M):
-            t = min(orbits[j][m], top)
+            t = min(orbits[j][m], 1.0)
             w = d[j + 1] * pw[m]
             C += w * t
             thresholds.append(t)
@@ -237,6 +240,34 @@ def gora_density_reference(map_, M=None):
     if C <= 0.0:
         raise SingularSystem(f"normalization constant came out nonpositive ({C!r})")
     return DensitySpec(K, tuple(cs), tuple(orbits), S, d, C, B, M, thresholds, weights)
+
+
+def _compose_reference(outer, inner):
+    """outer after inner: the inner partition refined by outer's pulled-back breakpoints."""
+    s = inner.slope
+    pts = []
+    a = inner.endpoints
+    b = outer.endpoints
+    for k in range(inner.branch_count):
+        lo, hi = a[k], a[k + 1]
+        pts.append(lo)
+        for bl in b[1:-1]:
+            q = lo + bl / s
+            if q >= hi - MERGE_GAP:
+                break
+            if q - pts[-1] > MERGE_GAP:
+                pts.append(q)
+    pts.append(1.0)
+    return PiecewiseLinearMap(tuple(pts), s * outer.slope)
+
+
+def compose_map_reference(base, slot):
+    """The period map of ``slot`` as a chain of p - 1 two-map compositions."""
+    p = base.p
+    acc = single_map(base.betas[slot])
+    for j in range(1, p):
+        acc = _compose_reference(single_map(base.betas[(slot + j) % p]), acc)
+    return acc
 
 
 def composed_period_value_reference(base, x):

@@ -165,6 +165,19 @@ class TestDeterminismAndErrors:
         code, _, _ = run(capsys, "compare", "--base", "1000000.5,1000000.5")
         assert code == 5
 
+    @pytest.mark.parametrize("argv", [("density",), ("freq", "--digit", "1")], ids=lambda a: a[0])
+    def test_huge_alphabet_period_map_exit(self, capsys, argv):
+        # 10^12 digit blocks: the period map is refused before any branch is built
+        code, out, err = run(capsys, argv[0], "--base", "1000000.5,1000000.5", *argv[1:])
+        assert (code, out) == (5, "")
+        assert "composed-map branch" in err
+
+    def test_huge_digit_has_frequency_zero(self, capsys):
+        digit = "1" + "0" * 400
+        code, out, _ = run(capsys, "freq", "--base", "2.5,1.5", "--digit", digit, "--json")
+        assert code == 0
+        assert json.loads(out)["payload"] == {"digit": 10**400, "frequency": 0.0}
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("ALTBASE_SEED", "31337")
         _, out, _ = run(capsys, "freq", "--base", "2", "--digit", "1",

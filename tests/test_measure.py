@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 import os
 import pathlib
@@ -10,7 +11,13 @@ import pytest
 
 from altbase import measure
 from altbase.core import StatePoint, greedy_step, new_base
-from altbase.errors import AlphabetError, DomainError, SingularSystem, TruncationTooShallow
+from altbase.errors import (
+    AlphabetError,
+    DomainError,
+    SearchTooLarge,
+    SingularSystem,
+    TruncationTooShallow,
+)
 from altbase.expr import parse_base_list
 from altbase.measure import (
     EPS_GEO,
@@ -33,6 +40,7 @@ from altbase.oracle import SplitMix64, birkhoff_frequency
 from helpers import PHI, SQRT13, base13, base_phi2, random_base
 from reference import (
     branch_of_reference,
+    compose_map_reference,
     correction_matrix_reference,
     density_eval_reference,
     endpoint_orbits_reference,
@@ -92,6 +100,11 @@ class TestComposeMap:
             for k in range(m.branch_count):
                 assert m.endpoints[k + 1] - m.endpoints[k] <= 1 / m.slope + 1e-12
 
+    def test_huge_alphabet_is_refused(self):
+        # 10^12 digit blocks bound the branch count; the refinement would exhaust memory
+        with pytest.raises(SearchTooLarge, match="composed-map branch"):
+            compose_map(new_base((1000000.5, 1000000.5)), 1)
+
     @pytest.mark.parametrize("beta", [math.nan, math.inf], ids=["nan", "inf"])
     def test_single_map_rejects_non_finite(self, beta):
         with pytest.raises(DomainError):
@@ -113,7 +126,7 @@ class TestComposeMap:
     )
     def test_map_rejects_bad_endpoints_and_slopes(self, endpoints, slope):
         with pytest.raises(DomainError):
-            PiecewiseLinearMap(endpoints, slope, 1.0)
+            PiecewiseLinearMap(endpoints, slope)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_left_limit_rejects_non_finite(self, x):
@@ -270,6 +283,17 @@ class TestFrequency:
     def test_binary_half(self):
         assert frequency(new_base((2,)), 0) == pytest.approx(0.5, abs=1e-12)
 
+    def test_top_digit_takes_the_sliver_above_an_integer(self):
+        # alphabet 2: on [3/beta, 1) the greedy digit is capped at 2, so digit 3 never occurs
+        b = new_base((3 + 1e-13,))
+        (spec,) = slot_densities(b)
+        assert frequency(b, 3) == 0.0
+        assert frequency(b, 2) == measure_interval(spec, 2 / b.betas[0], 1.0)
+        assert sum(frequency(b, d) for d in range(3)) == 1.0
+
+    def test_huge_digit(self):
+        assert frequency(new_base((2.5, 1.5)), 10**400) == 0.0
+
     def test_against_ergodic_average(self):
         b = base13()
         f = frequency(b, 0)
@@ -350,7 +374,7 @@ class TestLookupsMatchSearchsorted:
         rng = SplitMix64(41)
         for m, spec in maps_and_specs:
             pts = _with_neighbours(m.endpoints + spec.thresholds)
-            pts += [rng.uniform(0.0, m.domain_end) for _ in range(200)]
+            pts += [rng.uniform(0.0, 1.0) for _ in range(200)]
             for x in pts:
                 assert m.branch_of(x) == branch_of_reference(m, x)
                 assert m.left_limit(x) == left_limit_reference(m, x)
@@ -462,9 +486,8 @@ def _density_outcome(build, m, M):
 
 
 def _cuts(m):
-    top = m.domain_end
     ks = range(m.branch_count)
-    return [m.endpoints[k + 1] for k in ks if m.branch_image_top(k) < top - EPS_GEO]
+    return [m.endpoints[k + 1] for k in ks if m.branch_image_top(k) < 1.0 - EPS_GEO]
 
 
 def _assert_matches_reference(m, M=None):
@@ -487,14 +510,14 @@ NEAR_INTEGER_BASES = [
 def _close_breakpoint_map(gap, land):
     """Slope 3 with breakpoints 0.5 and 0.5 + gap; the last cut's left limit is 0.5 + land."""
     upper = 0.5 + gap
-    return PiecewiseLinearMap((0.0, 1 / 3, 0.5, upper, upper + (0.5 + land) / 3, 1.0), 3.0, 1.0)
+    return PiecewiseLinearMap((0.0, 1 / 3, 0.5, upper, upper + (0.5 + land) / 3, 1.0), 3.0)
 
 
 def _close_chain_map(chain, land):
     """Slope 3 with breakpoints 4e-10 and ``chain``; the cut 4e-10 + land/3 lands at ``land``."""
     v = 4e-10 + land / 3
     ends = (0.0, 4e-10, v) + ((v + 1 / 3,) if v + 1 / 3 < chain[0] else ()) + chain
-    return PiecewiseLinearMap(ends + (chain[-1] + 1 / 3, 1.0), 3.0, 1.0)
+    return PiecewiseLinearMap(ends + (chain[-1] + 1 / 3, 1.0), 3.0)
 
 
 class TestEndpointOrbitsMatchReference:
@@ -544,10 +567,43 @@ class TestEndpointOrbitsMatchReference:
                     _assert_matches_reference(_close_chain_map(chain, land), M)
 
     def test_points_past_the_last_breakpoint(self):
-        # a branch wider than 1/slope maps past domain_end, where branch_of clamps to the last branch
-        m = PiecewiseLinearMap((0.0, 0.3, 1.0), 2.5, 1.0)
+        # a branch wider than 1/slope maps past 1, where branch_of clamps to the last branch
+        m = PiecewiseLinearMap((0.0, 0.3, 1.0), 2.5)
         assert gora_density(m).orbit[0][:3] == (0.75, 1.125, 2.0625)
         _assert_matches_reference(m)
+
+
+class TestComposeMapMatchesReference:
+    """One refinement pass gives the chain of two-map compositions bit for bit."""
+
+    @staticmethod
+    def _assert_slots_match(base):
+        for slot in range(base.p):
+            got, ref = compose_map(base, slot), compose_map_reference(base, slot)
+            assert _float_bits(got.endpoints) == _float_bits(ref.endpoints)
+            assert got.slope.hex() == ref.slope.hex()
+
+    @pytest.mark.parametrize("text", NAMED_BASES + ("2+1.5e-12",))
+    def test_named_bases(self, text):
+        self._assert_slots_match(new_base(parse_base_list(text)))
+
+    def test_near_integer_bases(self):
+        for betas in NEAR_INTEGER_BASES:
+            self._assert_slots_match(new_base(betas))
+
+    def test_random_bases(self):
+        # 1,800 slot maps
+        rng = SplitMix64(2028)
+        for k in range(400):
+            p = 1 + k % 8
+            self._assert_slots_match(random_base(rng, p, p, hi=ORBIT_RANDOM_HI[p]))
+
+    def test_wide_random_bases(self):
+        # betas up to 3.5 give alphabets up to 3 and hundreds of branches per slot
+        rng = SplitMix64(2029)
+        for k in range(48):
+            p = 1 + k % 6
+            self._assert_slots_match(random_base(rng, p, p, hi=3.5))
 
 
 # relative gap allowed between density_eval and the orbit-of-1 density away from thresholds
@@ -624,6 +680,53 @@ class TestOrbitOfOneDensity:
         (spec,) = slot_densities(base)
         assert spec.K == 1 and set(spec.orbit[0]) == {compose_map(base, 0).endpoints[3]}
         assert len({density_eval(spec, (k + 0.5) / GRID) for k in range(GRID)}) == 1
+
+
+# relative bound on |P h - h| for the transfer operator P of the period map
+RESIDUAL_REL = 1e-12
+
+
+def _transfer(m, h):
+    """P h: x -> (1/B) * sum of h(e_k + x/B) over the branches whose image top exceeds x."""
+    B = m.slope
+    branches = [(m.endpoints[k], m.branch_image_top(k)) for k in range(m.branch_count)]
+    return lambda x: sum(h(e + x / B) for e, top in branches if top > x) / B
+
+
+def _step_table(keys, values, first, rank):
+    """x -> first + the sum of values[rank(keys, x):], keys ascending, by one lookup.
+
+    density_eval sums up to 2,128 weights per call and step_density_eval 72
+    steps, too slow for the 10^5-10^6 preimages of the period-8 base; the
+    table gives the same step function up to summation order.
+    """
+    sums = list(itertools.accumulate(reversed(values), initial=first))[::-1]
+    return lambda x: sums[rank(keys, x)]
+
+
+class TestTransferOperatorResidual:
+    """Both densities are fixed points of the period map's transfer operator.
+
+    At 300 seeded points per slot, |P h - h| <= RESIDUAL_REL * h, with h(x)
+    from density_eval and from the orbits of 1, and P h from their tables.
+    """
+
+    @pytest.mark.parametrize("text", NAMED_BASES)
+    def test_residual(self, text):
+        base = new_base(parse_base_list(text))
+        rng = SplitMix64(45)
+        for slot, (spec, steps) in enumerate(zip(slot_densities(base), orbit_of_one_density(base))):
+            m = compose_map(base, slot)
+            table = _step_table(spec.thresholds, spec.weights, spec.d[0], bisect.bisect_left)
+            gora = _transfer(m, table)
+            ts, vs = zip(*sorted(steps))
+            paper = _transfer(m, _step_table(ts, vs, 0.0, bisect.bisect_right))
+            for _ in range(300):
+                x = rng.uniform(0.0, 1.0)
+                hx = density_eval(spec, x)
+                assert abs(gora(x) / spec.C - hx) <= RESIDUAL_REL * hx
+                hx = step_density_eval(steps, x)
+                assert abs(paper(x) - hx) <= RESIDUAL_REL * hx
 
 
 class TestCorrectionMatrixStorage:
