@@ -20,8 +20,8 @@ from numbers import Integral
 from typing import TYPE_CHECKING
 
 from .core import AlternateBase, snap_ceil
-from .errors import AlphabetError, DomainError, SingularSystem, TruncationTooShallow
-from .oracle import check_enumeration_bound
+from .errors import AlphabetError, DomainError, SearchTooLarge, SingularSystem, TruncationTooShallow
+from .oracle import ENUMERATION_BOUND
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,11 +103,15 @@ def compose_map(base: AlternateBase, slot: int) -> PiecewiseLinearMap:
     p = base.p
     if not (0 <= slot < p):
         raise DomainError(f"slot {slot} outside [0, {p})")
-    # a period map has at most one branch per digit block
-    check_enumeration_bound(base, p, "composed-map branch")
+    # branches grow like the slope product, not the digit-block count: bound cuts and passes
+    too_many = f"composed-map branch count exceeds the {ENUMERATION_BOUND:.0e} bound"
+    if max(base.alphabets) >= ENUMERATION_BOUND:
+        raise SearchTooLarge(too_many)
     s = base.betas[slot]
     pts = single_map(s).endpoints
     for j in range(1, p):
+        if len(pts) * (base.alphabet(slot + j) + 1) > ENUMERATION_BOUND:
+            raise SearchTooLarge(too_many)
         b = base.betas[(slot + j) % p]
         cuts = single_map(b).endpoints[1:-1]
         refined: list[float] = []

@@ -167,10 +167,15 @@ class TestDeterminismAndErrors:
 
     @pytest.mark.parametrize("argv", [("density",), ("freq", "--digit", "1")], ids=lambda a: a[0])
     def test_huge_alphabet_period_map_exit(self, capsys, argv):
-        # 10^12 digit blocks: the period map is refused before any branch is built
+        # the first refinement pass would make 10^12 branches: refused before it runs
         code, out, err = run(capsys, argv[0], "--base", "1000000.5,1000000.5", *argv[1:])
         assert (code, out) == (5, "")
         assert "composed-map branch" in err
+
+    def test_long_period_of_small_betas_builds(self, capsys):
+        # 1.1^24 digit blocks number 2^24, but the period map has only 25 branches
+        code, _, _ = run(capsys, "measure", "--base", ",".join(["1.1"] * 24), "--interval", "0,1/2")
+        assert code == 0
 
     def test_huge_digit_has_frequency_zero(self, capsys):
         digit = "1" + "0" * 400

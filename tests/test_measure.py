@@ -101,9 +101,13 @@ class TestComposeMap:
                 assert m.endpoints[k + 1] - m.endpoints[k] <= 1 / m.slope + 1e-12
 
     def test_huge_alphabet_is_refused(self):
-        # 10^12 digit blocks bound the branch count; the refinement would exhaust memory
+        # the first refinement pass would make 10^12 branches and exhaust memory
         with pytest.raises(SearchTooLarge, match="composed-map branch"):
             compose_map(new_base((1000000.5, 1000000.5)), 1)
+
+    def test_alphabet_over_the_bound_is_refused(self):
+        with pytest.raises(SearchTooLarge, match="composed-map branch"):
+            compose_map(new_base((2e7,)), 0)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf], ids=["nan", "inf"])
     def test_single_map_rejects_non_finite(self, beta):
@@ -597,6 +601,19 @@ class TestComposeMapMatchesReference:
         for k in range(400):
             p = 1 + k % 8
             self._assert_slots_match(random_base(rng, p, p, hi=ORBIT_RANDOM_HI[p]))
+
+    @pytest.mark.parametrize(
+        "betas",
+        [(1.5,) * 24, (1.1,) * 24, (2.1,) * 15, (1.5, 1.1) * 12],
+        ids=["1.5x24", "1.1x24", "2.1x15", "1.5,1.1x12"],
+    )
+    def test_long_periods(self, betas):
+        # up to 2^24 digit blocks per period but at most 106,007 branches: the
+        # branch count, not the block count, decides whether a map is built
+        base = new_base(betas)
+        got, ref = compose_map(base, 0), compose_map_reference(base, 0)
+        assert _float_bits(got.endpoints) == _float_bits(ref.endpoints)
+        assert got.slope.hex() == ref.slope.hex()
 
     def test_wide_random_bases(self):
         # betas up to 3.5 give alphabets up to 3 and hundreds of branches per slot
