@@ -284,6 +284,8 @@ def _branches(base: AlternateBase, i: int, kind: str) -> list[tuple[float, float
     """Branches (lo, hi, digit) of the greedy or lazy step map of slot i."""
     b = base.betas[i]
     m = base.alphabets[i]
+    if m >= oracle.ENUMERATION_BOUND:
+        raise SearchTooLarge(f"base {b!r} has over the {oracle.ENUMERATION_BOUND:.0e} branch bound")
     if kind == "greedy":
         cuts = [k / b for k in range(m + 1)] + [base.xmax[i]]
     else:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import cycle, islice, repeat
 from numbers import Integral
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import AlphabetError, DomainError
@@ -29,6 +29,80 @@ def snap_ceil(y: float) -> int:
     return math.ceil(y - EPS_SNAP)
 
 
+class _Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields (two or more, after any it inherits), in
+    order, in ``__slots__``.  Instances take them positionally or by
+    keyword, with ``_defaults`` for omitted ones, then run the ``_check``
+    hook.  ``==`` and ``hash`` go over the fields in order, leaving out those
+    named in ``_uncompared``; repr, pickle and copy use every field, and no
+    field can be set or deleted.  The standard library's record decorator
+    would do the same, but it imports ``inspect``, which adds about 25 ms to
+    every CLI process.
+    """
+
+    __slots__ = ()
+    _defaults: dict[str, object] = {}
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = getattr(cls, "_fields", ()) + cls.__dict__.get("__slots__", ())
+        # each slot's own setter, which bypasses __setattr__
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+        cls._key = attrgetter(*(f for f in cls._fields if f not in cls._uncompared))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for put, value in zip(setters, args):
+            put(self, value)
+        self._check()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Field values of a call that uses keywords or defaults, in field order."""
+        name = cls.__qualname__
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name}() takes {len(cls._fields)} arguments, {len(args)} given")
+        values = list(args)
+        for field in cls._fields[len(args) :]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got unexpected or repeated arguments {sorted(kwargs)}")
+        return values
+
+    def _check(self) -> None:
+        """Raise if the field values are invalid; every value is valid by default."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+
 class StatePoint(NamedTuple):
     """A point of the phase space: (slot, value) with value in slot's interval."""
 
@@ -36,8 +110,7 @@ class StatePoint(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class AlternateBase:
+class AlternateBase(_Record):
     """A validated alternate base with cached derived quantities.
 
     Construct through :func:`new_base`.  ``alphabets[i]`` is the largest digit
@@ -46,6 +119,7 @@ class AlternateBase:
     ``product`` the slope of one full period.
     """
 
+    __slots__ = ("betas", "product", "alphabets", "xmax")
     betas: tuple[float, ...]
     product: float
     alphabets: tuple[int, ...]
@@ -194,12 +268,13 @@ def lazy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
     return _new_state(StatePoint, (i, x)), digit
 
 
-@dataclass(frozen=True)
-class DigitWord:
+class DigitWord(_Record):
     """A finite digit string read in the base rotated by ``base_offset``."""
 
+    __slots__ = ("digits", "base_offset")
+    _defaults = {"base_offset": 0}
     digits: tuple[int, ...]
-    base_offset: int = 0
+    base_offset: int
 
     def __len__(self) -> int:
         return len(self.digits)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from operator import lt
 from typing import Sequence
 
-from .core import EPS_SNAP, AlternateBase, _greedy_run
+from .core import EPS_SNAP, AlternateBase, _greedy_run, _Record
 from .errors import AlphabetError, DomainError, NotAllowable
 from .oracle import check_enumeration_bound
 
@@ -30,14 +29,14 @@ MIN_CELL = 1e-12
 GAP_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class DigitSet:
+class DigitSet(_Record):
     """Strictly ascending digits starting at 0, paired with the base beta."""
 
+    __slots__ = ("digits", "beta")
     digits: tuple[float, ...]
     beta: float
 
-    def __post_init__(self):
+    def _check(self) -> None:
         ds = self.digits
         if len(ds) < 2 or ds[0] != 0.0 or not all(map(lt, ds, ds[1:])):
             raise AlphabetError("a digit set needs two or more digits, ascending strictly from 0.0")
@@ -175,15 +174,14 @@ def nondecreasing_bruteforce(base: AlternateBase) -> bool:
     return all(a <= b + AGREE_TOL for a, b in zip(vals, vals[1:]))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
+    __slots__ = ("x", "delta_image", "composed_image")
     x: float
     delta_image: float
     composed_image: float
 
 
-@dataclass(frozen=True)
-class DisagreementReport:
+class DisagreementReport(_Record):
     """Where the blocked transformation undercuts one period of the dynamics.
 
     ``intervals`` are maximal half-open stretches of the common domain on
@@ -191,6 +189,7 @@ class DisagreementReport:
     images.  An empty report means the maps coincide.
     """
 
+    __slots__ = ("intervals", "witnesses")
     intervals: tuple[tuple[float, float], ...]
     witnesses: tuple[Witness, ...]
 

@@ -13,15 +13,15 @@ character.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .core import _Record
 from .errors import ParseError
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class BaseExpression:
+class BaseExpression(_Record):
+    __slots__ = ("source", "value")
     source: str
     value: float
 

@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from numbers import Integral
 from typing import TYPE_CHECKING
 
-from .core import AlternateBase, snap_ceil
+from .core import AlternateBase, _Record, snap_ceil
 from .errors import AlphabetError, DomainError, SearchTooLarge, SingularSystem, TruncationTooShallow
-from .oracle import ENUMERATION_BOUND
+from .oracle import ENUMERATION_BOUND, MATRIX_ENTRY_BOUND
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,8 +35,7 @@ MERGE_GAP = 1e-14
 COND_MAX = 1e10
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearMap:
+class PiecewiseLinearMap(_Record):
     """Constant-slope map of [0,1) with branches x -> slope * (x - a_k) on [a_k, a_{k+1}).
 
     ``endpoints`` holds a_0 = 0 < a_1 < ... < a_K = 1, so branch k lives
@@ -45,10 +43,11 @@ class PiecewiseLinearMap:
     which keeps the family closed under composition.
     """
 
+    __slots__ = ("endpoints", "slope")
     endpoints: tuple[float, ...]
     slope: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # the bisect lookups need strictly ascending endpoints; branch widths go unchecked
         e = self.endpoints
         ends_ok = len(e) >= 2 and e[0] == 0.0 and e[-1] == 1.0
@@ -88,6 +87,8 @@ def single_map(beta: float) -> PiecewiseLinearMap:
     if not 1.0 < beta < math.inf:
         raise DomainError(f"slope {beta!r} must be finite and exceed 1")
     m = snap_ceil(beta) - 1
+    if m >= ENUMERATION_BOUND:
+        raise SearchTooLarge(f"base {beta!r} has over the {ENUMERATION_BOUND:.0e} branch bound")
     pts = [k / beta for k in range(m + 1)] + [1.0]
     return PiecewiseLinearMap(tuple(pts), beta)
 
@@ -129,8 +130,7 @@ def compose_map(base: AlternateBase, slot: int) -> PiecewiseLinearMap:
     return PiecewiseLinearMap(tuple(pts), s)
 
 
-@dataclass(frozen=True)
-class DensitySpec:
+class DensitySpec(_Record):
     """Closed-form invariant density of a constant-slope branch-zero map.
 
     The density is (1/C) * (d[0] + sum_j d[j] * sum_m chi_[0, orbit[j-1][m-1]]
@@ -142,10 +142,12 @@ class DensitySpec:
     equality and hashing, which ``d`` already decides.
     """
 
+    __slots__ = ("K", "c", "orbit", "S", "d", "C", "B", "M", "thresholds", "weights")
+    _uncompared = ("S",)
     K: int
     c: tuple[float, ...]
     orbit: tuple[tuple[float, ...], ...]
-    S: np.ndarray | tuple[()] = field(compare=False)
+    S: np.ndarray | tuple[()]
     d: tuple[float, ...]
     C: float
     B: float
@@ -221,6 +223,8 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     K = len(cs)
     if K == 0:
         return DensitySpec(0, (), (), (), (1.0,), 1.0, B, M, (), ())
+    if K * K > MATRIX_ENTRY_BOUND:
+        raise SearchTooLarge(f"{K}x{K} correction matrix exceeds {MATRIX_ENTRY_BOUND:.0e} entries")
 
     orbits = _endpoint_orbits(map_, cs, M)
 

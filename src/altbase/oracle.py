@@ -12,15 +12,16 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from itertools import chain, cycle, islice
 from numbers import Integral
 from typing import Iterator, Optional
 
-from .core import EPS_SNAP, AlternateBase, StatePoint
+from .core import EPS_SNAP, AlternateBase, StatePoint, _Record
 from .errors import AlphabetError, DomainError, SearchTooLarge
 
 ENUMERATION_BOUND = 10**7
+# entries of one dense matrix: gora_density makes several K x K float64 arrays (80 MB at 10^7)
+MATRIX_ENTRY_BOUND = 10**7
 
 # Orbits are iterated with a deterministic one-ulp dither.  Multiplication
 # by an exactly representable slope (an integer base like 2) is lossless in
@@ -75,8 +76,8 @@ class SplitMix64:
                 return lo + u % span
 
 
-@dataclass(frozen=True)
-class TupleSearchResult:
+class TupleSearchResult(_Record):
+    __slots__ = ("digits", "value")
     digits: tuple[int, ...]
     value: float
 
@@ -258,8 +259,8 @@ def birkhoff_frequency(
     return _orbit_tally(base, x0, N, int(digit), -1, 0)[0] / N
 
 
-@dataclass(frozen=True)
-class EmpiricalStats:
+class EmpiricalStats(_Record):
+    __slots__ = ("counts", "iterations", "seed", "start")
     counts: tuple[int, ...]
     iterations: int
     seed: Optional[int]

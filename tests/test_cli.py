@@ -172,6 +172,17 @@ class TestDeterminismAndErrors:
         assert (code, out) == (5, "")
         assert "composed-map branch" in err
 
+    @pytest.mark.parametrize("mode", ["greedy", "lazy"])
+    def test_huge_alphabet_graph_exit(self, capsys, tmp_path, mode):
+        # 10^9 branches would be listed and sampled: refused before any is
+        path = tmp_path / "graph.csv"
+        code, out, err = run(
+            capsys, "graph", "--base", "1000000000.5", "--mode", mode, "--csv", str(path),
+        )
+        assert (code, out) == (5, "")
+        assert err.startswith("error:") and "branch bound" in err
+        assert not path.exists()
+
     def test_long_period_of_small_betas_builds(self, capsys):
         # 1.1^24 digit blocks number 2^24, but the period map has only 25 branches
         code, _, _ = run(capsys, "measure", "--base", ",".join(["1.1"] * 24), "--interval", "0,1/2")
@@ -313,6 +324,34 @@ class TestNumpyImport:
         ]
         lines = _numpy_probe(argvs, tmp_path)
         assert lines[2:] == ["density 0 True", "freq 0 True"]
+
+
+def _imported_modules(tmp_path, *args):
+    """Names of the modules that a child ``python -X importtime <args>`` imports."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["-m", "altbase.cli", "expand", "--base", BASE13, "--x", "0.3", "--json"],
+        ["-c", "import altbase"],
+    ],
+    ids=["cli-expand", "import-altbase"],
+)
+def test_start_up_loads_no_inspect(tmp_path, args):
+    # the standard library's record decorator would bring inspect, ast and dis (~25 ms)
+    loaded = _imported_modules(tmp_path, *args) - _imported_modules(tmp_path, "-c", "pass")
+    assert "altbase.core" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altbase.core import (
+    AlternateBase,
     CantorBaseStream,
     DigitWord,
     StatePoint,
@@ -19,8 +22,11 @@ from altbase.core import (
     phi,
     shift_base,
 )
+from altbase.digitset import DigitSet, DisagreementReport, Witness
 from altbase.errors import AlphabetError, DomainError
-from altbase.oracle import SplitMix64, lex_greatest
+from altbase.expr import BaseExpression
+from altbase.measure import DensitySpec, PiecewiseLinearMap, compose_map, gora_density
+from altbase.oracle import EmpiricalStats, SplitMix64, TupleSearchResult, lex_greatest
 from helpers import BASE13_BETAS, PHI, SQRT13, base13, base_phi2, random_base
 from reference import (
     evaluate_reference,
@@ -591,3 +597,96 @@ class TestInvariants:
         b = new_base(betas)
         assert shift_base(b, n % b.p) == shift_base(b, n)
         assert shift_base(shift_base(b, n), -n) == b
+
+
+# One value of each record type: its field names, field values and repr.
+RECORDS = [
+    (AlternateBase, ("betas", "product", "alphabets", "xmax"),
+     ((2.5, 1.5), 3.75, (2, 1), (1.2, 0.8)), "AlternateBase((2.5, 1.5))"),
+    (DigitWord, ("digits", "base_offset"), ((1, 0, 2), 1),
+     "DigitWord(digits=(1, 0, 2), base_offset=1)"),
+    (BaseExpression, ("source", "value"), ("1+1", 2.0),
+     "BaseExpression(source='1+1', value=2.0)"),
+    (PiecewiseLinearMap, ("endpoints", "slope"), ((0.0, 0.5, 1.0), 2.0),
+     "PiecewiseLinearMap(endpoints=(0.0, 0.5, 1.0), slope=2.0)"),
+    (DensitySpec, ("K", "c", "orbit", "S", "d", "C", "B", "M", "thresholds", "weights"),
+     (0, (), (), (), (1.0,), 1.0, 2.0, 51, (), ()),
+     "DensitySpec(K=0, c=(), orbit=(), S=(), d=(1.0,), C=1.0, B=2.0, M=51, thresholds=(),"
+     " weights=())"),
+    (TupleSearchResult, ("digits", "value"), ((1, 0), 0.5),
+     "TupleSearchResult(digits=(1, 0), value=0.5)"),
+    (EmpiricalStats, ("counts", "iterations", "seed", "start"),
+     ((3, 1), 4, None, StatePoint(0, 0.25)),
+     "EmpiricalStats(counts=(3, 1), iterations=4, seed=None,"
+     " start=StatePoint(slot=0, value=0.25))"),
+    (DigitSet, ("digits", "beta"), ((0.0, 1.0), 2.0), "DigitSet(digits=(0.0, 1.0), beta=2.0)"),
+    (Witness, ("x", "delta_image", "composed_image"), (0.25, 0.5, 0.75),
+     "Witness(x=0.25, delta_image=0.5, composed_image=0.75)"),
+    (DisagreementReport, ("intervals", "witnesses"), (((0.0, 0.5),), (Witness(0.25, 0.5, 0.75),)),
+     "DisagreementReport(intervals=((0.0, 0.5),), witnesses=(Witness(x=0.25, delta_image=0.5,"
+     " composed_image=0.75),))"),
+]
+
+
+@pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+class TestRecords:
+    """The ten immutable value types keep the contract of frozen records."""
+
+    def test_keyword_construction_and_repr(self, cls, names, values, text):
+        record = cls(*values)
+        assert cls(**dict(zip(names, values))) == record
+        assert tuple(getattr(record, name) for name in names) == values
+        assert tuple(cls.__annotations__) == names
+        assert repr(record) == text
+
+    def test_fields_cannot_be_set_or_deleted(self, cls, names, values, text):
+        record = cls(*values)
+        for name in names + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert not hasattr(record, "__dict__")
+        assert tuple(getattr(record, name) for name in names) == values
+
+    def test_pickle_and_deepcopy_round_trip(self, cls, names, values, text):
+        record = cls(*values)
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(twin) is cls
+            assert twin == record and hash(twin) == hash(record)
+            assert repr(twin) == repr(record)
+
+    def test_equality_goes_over_the_fields(self, cls, names, values, text):
+        record = cls(*values)
+        assert record == cls(*values) and hash(record) == hash(cls(*values))
+        assert record != values
+
+    def test_wrong_arguments_raise_type_error(self, cls, names, values, text):
+        for args, kwargs in [
+            (values + (None,), {}),
+            ((), dict(zip(names[1:], values[1:]))),
+            (values, {names[0]: values[0]}),
+            (values, {"unknown": 1}),
+        ]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+
+class TestRecordDefaultsAndChecks:
+    def test_digit_word_offset_defaults_to_zero(self):
+        assert DigitWord((1, 2)) == DigitWord(digits=(1, 2)) == DigitWord((1, 2), 0)
+        assert DigitWord((1, 2)).base_offset == 0
+        assert DigitWord((1, 2)) != DigitWord((1, 2), 1)
+        assert DigitWord((1, 2), 0.5) != TupleSearchResult((1, 2), 0.5)
+
+    def test_keyword_construction_is_validated(self):
+        with pytest.raises(DomainError, match="ascending strictly"):
+            PiecewiseLinearMap(slope=2.0, endpoints=(0.0, 0.7, 0.5, 1.0))
+        with pytest.raises(AlphabetError, match="two or more digits"):
+            DigitSet(beta=2.0, digits=(0.0,))
+
+    def test_pickled_density_keeps_its_matrix(self):
+        spec = gora_density(compose_map(base13(), 0))
+        for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert twin == spec
+            assert np.array_equal(twin.S, spec.S)

@@ -109,6 +109,14 @@ class TestComposeMap:
         with pytest.raises(SearchTooLarge, match="composed-map branch"):
             compose_map(new_base((2e7,)), 0)
 
+    def test_single_map_over_the_bound_is_refused(self, monkeypatch):
+        with pytest.raises(SearchTooLarge, match="branch bound"):
+            single_map(1000000000.5)  # would list 10^9 endpoints
+        monkeypatch.setattr(measure, "ENUMERATION_BOUND", 10)
+        assert single_map(9.5).branch_count == 10
+        with pytest.raises(SearchTooLarge, match="branch bound"):
+            single_map(10.5)
+
     @pytest.mark.parametrize("beta", [math.nan, math.inf], ids=["nan", "inf"])
     def test_single_map_rejects_non_finite(self, beta):
         with pytest.raises(DomainError):
@@ -192,6 +200,20 @@ class TestGoraDensity:
     def test_too_shallow(self):
         with pytest.raises(TruncationTooShallow):
             gora_density(compose_map(base_phi2(), 0), 3)
+
+    def test_correction_matrix_over_the_bound_is_refused(self, monkeypatch):
+        # K equal branches of image top 1/2 all stop short of 1; 3162^2 <= 10^7 < 3163^2
+        class Built(Exception):
+            pass
+
+        def refuse(*args):
+            raise Built
+
+        monkeypatch.setattr(measure, "_endpoint_orbits", refuse)
+        for K, raised in ((3162, Built), (3163, SearchTooLarge)):
+            m = PiecewiseLinearMap(tuple(k / K for k in range(K)) + (1.0,), K / 2)
+            with pytest.raises(raised):
+                gora_density(m)
 
     def test_weight_solve_residual(self):
         rng = SplitMix64(29)
@@ -760,6 +782,15 @@ class TestCorrectionMatrixStorage:
         assert first.S is not second.S
         assert first == second
         assert hash(first) == hash(second)
+
+    def test_matrix_is_left_out_of_equality_only(self):
+        spec = gora_density(compose_map(new_base((PHI, PHI, math.sqrt(5))), 1))
+        fields = ("K", "c", "orbit", "S", "d", "C", "B", "M", "thresholds", "weights")
+        values = {name: getattr(spec, name) for name in fields}
+        other_s = DensitySpec(**{**values, "S": np.zeros_like(spec.S)})
+        assert other_s == spec and hash(other_s) == hash(spec)
+        assert DensitySpec(**{**values, "C": spec.C * 2}) != spec
+        assert repr(other_s) != repr(spec)  # S is still shown
 
 
 # The child prints the numpy submodules loaded by the density build, the
