@@ -114,14 +114,17 @@ def _check_at_least(option: str, value: int, least: int) -> None:
 
 
 def _sample_grid(lo: float, hi: float, cuts: Iterable[float], per_unit: int) -> list[float]:
-    """Uniform samples plus both sides of every interior cut."""
+    """Uniform samples of [lo, hi) plus both sides of every cut, those inside [lo, hi)."""
     n = max(2, int(round(per_unit * (hi - lo))))
     pts = [lo + (hi - lo) * k / n for k in range(n)]
-    for c in cuts:
-        for q in (c - EPS_SNAP, c + EPS_SNAP):
-            if lo <= q < hi:
-                pts.append(q)
-    return sorted(set(pts))
+    pts += [q for c in cuts for q in (c - EPS_SNAP, c + EPS_SNAP)]
+    return sorted({q for q in pts if lo <= q < hi})
+
+
+def _check_rows(rows: float) -> None:
+    """Refuse a CSV whose row count, bounded from above, exceeds ENUMERATION_BOUND."""
+    if rows > oracle.ENUMERATION_BOUND:
+        raise SearchTooLarge(f"the CSV would exceed the {oracle.ENUMERATION_BOUND:.0e} row bound")
 
 
 def cmd_expand(args) -> None:
@@ -162,6 +165,7 @@ def cmd_density(args) -> None:
     pw = measure.compose_map(base, args.slot)
     spec = measure.gora_density(pw, args.truncation)
     if args.csv:
+        _check_rows(max(2, args.samples) + 2 * len(spec.thresholds))
         pts = _sample_grid(0.0, 1.0, spec.thresholds, args.samples)
         _write_csv(args.csv, "x,density", ((x, measure.density_eval(spec, x)) for x in pts))
     doc = run_output(
@@ -205,11 +209,12 @@ def cmd_measure(args) -> None:
 
 def cmd_freq(args) -> None:
     base = _parse_base(args)
+    x0 = None if args.x0 is None else parse_expression(args.x0).value
     value = measure.frequency(base, args.digit)
     payload = {"digit": args.digit, "frequency": value}
     lines = [f"digit {args.digit} frequency: {_fmt(value)}"]
     if args.empirical is not None:
-        emp = oracle.birkhoff_frequency(base, args.x0, args.digit, args.empirical, args.seed)
+        emp = oracle.birkhoff_frequency(base, x0, args.digit, args.empirical, args.seed)
         payload["empirical"] = emp
         payload["iterations"] = args.empirical
         payload["seed"] = args.seed
@@ -280,35 +285,32 @@ def cmd_orbit(args) -> None:
     _emit(args, doc, lines)
 
 
-def _branches(base: AlternateBase, i: int, kind: str) -> list[tuple[float, float, int]]:
-    """Branches (lo, hi, digit) of the greedy or lazy step map of slot i."""
-    b = base.betas[i]
-    m = base.alphabets[i]
-    if m >= oracle.ENUMERATION_BOUND:
-        raise SearchTooLarge(f"base {b!r} has over the {oracle.ENUMERATION_BOUND:.0e} branch bound")
-    if kind == "greedy":
-        cuts = [k / b for k in range(m + 1)] + [base.xmax[i]]
-    else:
-        cuts = [0.0] + [(base.xsup(i + 1) + k) / b for k in range(m + 1)]
-    return [(cuts[k], cuts[k + 1], k) for k in range(m + 1)]
+def _graph_rows(base: AlternateBase, kind: str, greedy: list[tuple[float, ...]], per_unit: int):
+    """(x, y, digit, slot) samples of every branch, extra ones only at its own interior ends."""
+    for i, (b, m) in enumerate(zip(base.betas, base.alphabets)):
+        if kind == "greedy":
+            ends = greedy[i][:-1] + (base.xmax[i],)
+        else:
+            ends = [0.0] + [(base.xsup(i + 1) + k) / b for k in range(m + 1)]
+        for k in range(m + 1):
+            inner = ends[max(k, 1) : min(k + 2, m + 1)]
+            for x in _sample_grid(ends[k], ends[k + 1], inner, per_unit):
+                yield x, b * x - k, k, i
 
 
 def cmd_graph(args) -> None:
     _check_at_least("--samples", args.samples, 1)
     base = _parse_base(args)
+    kinds = ("greedy", "lazy") if args.mode == "both" else (args.mode,)
+    greedy = [measure.single_map(b).endpoints for b in base.betas]  # refuses a huge alphabet
+    # a branch of width w gets at most per_unit * w + 2 uniform samples and 2 at its ends
+    rows = sum(args.samples * x + 4 * (m + 1) for x, m in zip(base.xmax, base.alphabets))
+    _check_rows(len(kinds) * rows)
     written = []
-    for kind in ("greedy", "lazy") if args.mode == "both" else (args.mode,):
-        rows = []
-        for i in range(base.p):
-            branches = _branches(base, i, kind)
-            cuts = [lo for lo, _, _ in branches[1:]]
-            for lo, hi, k in branches:
-                for x in _sample_grid(lo, hi, cuts, args.samples):
-                    if lo <= x < hi:
-                        rows.append((x, base.betas[i] * x - k, k, i))
+    for kind in kinds:
         stem, ext = os.path.splitext(args.csv)
         path = f"{stem}_{kind}{ext or '.csv'}" if args.mode == "both" else args.csv
-        _write_csv(path, "x,y,branch_index,slot", rows)
+        _write_csv(path, "x,y,branch_index,slot", _graph_rows(base, kind, greedy, args.samples))
         written.append(path)
     doc = run_output("graph", base, {"mode": args.mode, "files": written})
     _emit(args, doc, [f"graph samples written to {p}" for p in written])
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("freq", cmd_freq, help="digit frequency, closed form and empirical")
     p.add_argument("--digit", type=int, required=True)
     p.add_argument("--empirical", type=int, default=None, help="orbit length")
-    p.add_argument("--x0", type=float, default=None)
+    p.add_argument("--x0", default=None)
     p.add_argument("--seed", type=int, default=default_seed)
 
     add("entropy", cmd_entropy, help="entropy of the dynamics")

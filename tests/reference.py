@@ -18,12 +18,18 @@ from it.
 The period map is built as a chain of two-map compositions, each one a
 validated map.  The monotonicity criterion is recomputed from scratch for
 every cut, and orbit_of_one_density is the paper's density from the greedy
-orbits of 1, an independent check of the composed-map construction.
+orbits of 1, an independent check of the composed-map construction;
+orbit_of_one_density_exact is the same construction in exact arithmetic.
+graph_rows_reference samples each branch of the graph against every cut of
+its slot.
 """
 
 import math
+import operator
 import struct
 from bisect import bisect_left
+from fractions import Fraction
+from itertools import accumulate
 from numbers import Integral
 
 import numpy as np
@@ -449,6 +455,111 @@ def orbit_of_one_density(base, M=None):
     return out
 
 
+def _solve_scaled(A, rhs):
+    """det(A) * x, up to sign, for A x = rhs with integer A and rhs.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every division is
+    exact, and each diagonal entry ends as the last pivot, +-det(A).
+    """
+    n = len(A)
+    rows = [list(row) + [r] for row, r in zip(A, rhs)]
+    prev = 1
+    for k in range(n):
+        piv = next(r for r in range(k, n) if rows[r][k])
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pk = rows[k][k]
+        for r in range(n):
+            if r != k:
+                f = rows[r][k]
+                rows[r] = [(pk * a - f * b) // prev for a, b in zip(rows[r], rows[k])]
+        prev = pk
+    return [row[n] for row in rows]
+
+
+def orbit_of_one_density_exact(base, M=None):
+    """orbit_of_one_density in exact rational arithmetic on the same float betas.
+
+    The orbits take the same steps and stop at the same cap, or where the
+    exact t is 0.  Per slot it returns (ts, tails, mass): the step points
+    ascending, and integers with the density at x equal to
+    tails[bisect_right(ts, x)] / mass.  Each beta is N / q with q a power of
+    two, so every t is dyadic.  Orbit j divides its weights by the beta
+    numerators N only: w_n = W_n / D_j, with W_n an integer and D_j the
+    product of every N it meets.  Writing c_j = D_j * u_j gives the p x p
+    system integer entries; fraction-free elimination gives u times one
+    integer, which each slot's normalisation cancels.  Exact sums do not
+    depend on order, so one suffix sum over the sorted steps gives every
+    value.
+    """
+    p = base.p
+    if M is None:
+        M = default_truncation(base.product)
+    ratios = [b.as_integer_ratio() for b in base.betas]
+    g = [[0] * p for _ in range(p)]
+    D = []
+    points = [[] for _ in range(p)]
+    for j in range(p):
+        s, T, e = j, 1, 0  # t = T / 2^e
+        visits = []
+        for _ in range(p * (M + 2)):
+            N, q = ratios[s]
+            y, e_y = N * T, e + q.bit_length() - 1
+            a = y >> e_y
+            visits.append((s, T, e, a))
+            T, e = y - (a << e_y), e_y
+            s = (s + 1) % p
+            if T == 0:
+                break
+        # W_n = (q's of the steps before n) * (N's of the steps from n on)
+        met = [ratios[v[0]] for v in visits]
+        nums = list(accumulate((N for N, _ in reversed(met)), operator.mul, initial=1))
+        dens = accumulate((q for _, q in met), operator.mul, initial=1)
+        W = [n * d for n, d in zip(reversed(nums), dens)]
+        D.append(W[0])
+        for n, (s, T, e, a) in enumerate(visits):
+            g[(s + 1) % p][j] += W[n + 1] * a
+            points[s].append((T, e, j, W[n]))
+    A = [[g[r][j] - (D[j] if r == j else 0) for j in range(p)] for r in range(p - 1)] + [D]
+    U = _solve_scaled(A, [0] * (p - 1) + [1])
+    out = []
+    for pts in points:
+        E = max(e for _, e, _, _ in pts)
+        steps = sorted((T << (E - e), U[j] * w) for T, e, j, w in pts)
+        tails = list(accumulate((v for _, v in reversed(steps)), initial=0))[::-1]
+        mass = sum(T * v for T, v in steps)  # 2^E times the sum of t * v
+        ts = [Fraction(T, 1 << E) for T, _ in steps]
+        out.append((ts, [t << E for t in tails], mass))
+    return out
+
+
 def step_density_eval(steps, x):
     """Value at x of the sum of v * chi_[0, t) over the (t, v) steps."""
     return math.fsum(v for t, v in steps if x < t)
+
+
+def _sample_grid_reference(lo, hi, cuts, per_unit):
+    n = max(2, int(round(per_unit * (hi - lo))))
+    pts = [lo + (hi - lo) * k / n for k in range(n)]
+    for c in cuts:
+        for q in (c - EPS_SNAP, c + EPS_SNAP):
+            if lo <= q < hi:
+                pts.append(q)
+    return sorted(set(pts))
+
+
+def graph_rows_reference(base, kind, per_unit):
+    """The (x, y, digit, slot) rows of one graph file, each branch sampled against every cut."""
+    rows = []
+    for i in range(base.p):
+        b = base.betas[i]
+        m = base.alphabets[i]
+        if kind == "greedy":
+            ends = [k / b for k in range(m + 1)] + [base.xmax[i]]
+        else:
+            ends = [0.0] + [(base.xsup(i + 1) + k) / b for k in range(m + 1)]
+        for k in range(m + 1):
+            lo, hi = ends[k], ends[k + 1]
+            for x in _sample_grid_reference(lo, hi, ends[1:-1], per_unit):
+                if lo <= x < hi:
+                    rows.append((x, b * x - k, k, i))
+    return rows

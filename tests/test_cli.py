@@ -4,12 +4,18 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import cli_golden
+from altbase import cli, measure
 from altbase.cli import main
-from helpers import SQRT13
+from altbase.core import new_base
+from altbase.expr import parse_base_list
+from altbase.oracle import SplitMix64
+from helpers import SQRT13, random_base
+from reference import graph_rows_reference
 
 BASE13 = "(1+sqrt(13))/2,(5+sqrt(13))/6"
 
@@ -98,6 +104,19 @@ class TestMeasureFreqEntropy:
             doc["payload"]["empirical"], abs=2e-2
         )
 
+    def test_x0_is_an_expression(self, capsys):
+        argv = ["freq", "--base", BASE13, "--digit", "0", "--empirical", "2000", "--json"]
+        _, out, _ = run(capsys, *argv, "--x0", "sqrt(2)-1")
+        _, ref, _ = run(capsys, *argv, "--x0", repr(math.sqrt(2) - 1))
+        assert out == ref and json.loads(out)["payload"]["iterations"] == 2000
+
+    @pytest.mark.parametrize("option", ["--x0", "--x"])
+    def test_nan_point_is_a_parse_error(self, capsys, option):
+        argv = ["freq", "--digit", "0", "--empirical", "10"] if option == "--x0" else ["orbit"]
+        code, out, err = run(capsys, *argv, "--base", "2", option, "nan")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "unknown name 'nan'" in err
+
     def test_entropy(self, capsys):
         code, out, _ = run(capsys, "entropy", "--base", "2", "--json")
         assert json.loads(out)["payload"]["entropy"] == pytest.approx(math.log(2), abs=1e-12)
@@ -138,6 +157,51 @@ class TestOrbitGraph:
             lines = (tmp_path / f"graph_{kind}.csv").read_text().splitlines()
             assert lines[0] == "x,y,branch_index,slot"
             assert len(lines) > 50
+
+
+def _graph_bases():
+    """Golden bases, bases near an integer, the alphabet-0 base and random bases of periods 1-6."""
+    texts = list(cli_golden.BASES) + ["3+1e-13", "3-1e-13", "2+1e-12", "1+1e-13"]
+    bases = [pytest.param(new_base(parse_base_list(t)), id=t) for t in texts]
+    rng = SplitMix64(46)
+    for p in range(1, 7):
+        bases.append(pytest.param(random_base(rng, p, p, hi=9.0), id=f"random-p{p}"))
+    return bases
+
+
+def _graph_csv_rows(path):
+    """The (x, y, digit, slot) rows of a graph CSV; 17 significant digits read back exactly."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,y,branch_index,slot"
+    rows = (line.split(",") for line in lines[1:])
+    return [(float(x), float(y), int(k), int(i)) for x, y, k, i in rows]
+
+
+class TestGraphRows:
+    """Each branch sampled against its own ends gives the rows of the all-cuts sampler."""
+
+    @pytest.mark.parametrize("base", _graph_bases())
+    @pytest.mark.parametrize("samples", [1, 16, 2048])
+    def test_rows_match_reference(self, capsys, tmp_path, base, samples):
+        text = ",".join(repr(b) for b in base.betas)
+        path = str(tmp_path / "g.csv")
+        code, _, _ = run(capsys, "graph", "--base", text, "--csv", path, "--samples", str(samples))
+        assert code == 0
+        for kind in ("greedy", "lazy"):
+            rows = _graph_csv_rows(tmp_path / f"g_{kind}.csv")
+            assert rows == graph_rows_reference(base, kind, samples)
+            assert rows or base.alphabets == (0,)
+            # the closed form cmd_graph checks against the row bound
+            assert len(rows) <= sum(samples * x + 4 * (m + 1) for x, m in zip(base.xmax, base.alphabets))
+
+    def test_row_count_of_1e5_cuts(self):
+        # branches 1e-5 wide at one sample per unit: 2 uniform samples each and one beside
+        # every interior cut on either side: 4m + 2 rows per file
+        base = new_base((100000.5,))
+        m = base.alphabets[0]
+        greedy = [measure.single_map(base.betas[0]).endpoints]
+        for kind in ("greedy", "lazy"):
+            assert sum(1 for _ in cli._graph_rows(base, kind, greedy, 1)) == 4 * m + 2
 
 
 class TestDeterminismAndErrors:
@@ -182,6 +246,28 @@ class TestDeterminismAndErrors:
         assert (code, out) == (5, "")
         assert err.startswith("error:") and "branch bound" in err
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the extension [1/beta, x_0 ~ 1e7) alone would take 2e10 samples
+            ("graph", "--base", "1.0000001", "--mode", "greedy"),
+            ("density", "--base", "2.5", "--samples", "10000000000"),
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_csv_row_bound_exit(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv, "--csv", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (5, "")
+        assert err.startswith("error:") and "row bound" in err
+        assert list(tmp_path.iterdir()) == []
+        assert peak < 20 * 2**20
 
     def test_long_period_of_small_betas_builds(self, capsys):
         # 1.1^24 digit blocks number 2^24, but the period map has only 25 branches

@@ -48,6 +48,7 @@ from reference import (
     left_limit_reference,
     measure_interval_reference,
     orbit_of_one_density,
+    orbit_of_one_density_exact,
     step_density_eval,
 )
 
@@ -719,6 +720,30 @@ class TestOrbitOfOneDensity:
         (spec,) = slot_densities(base)
         assert spec.K == 1 and set(spec.orbit[0]) == {compose_map(base, 0).endpoints[3]}
         assert len({density_eval(spec, (k + 0.5) / GRID) for k in range(GRID)}) == 1
+
+
+# relative gap allowed between the float orbit-of-1 density and the same construction in exact
+# arithmetic; the worst gaps are 7.3e-15 on the first base, 4.7e-13 on period 5, 4.0e-15 on period 8
+EXACT_REL = 1e-12
+
+
+class TestOrbitOfOneExact:
+    """The float orbit-of-1 density against its exact rational twin on the same float betas."""
+
+    @pytest.mark.parametrize("text", NAMED_BASES + ("2+1e-10", "2.000000001,1.5"))
+    def test_float_within_exact(self, text):
+        base = new_base(parse_base_list(text))
+        xs = [(k + 0.5) / 400 for k in range(400)] + [0.99999999996]
+        exact_slots = orbit_of_one_density_exact(base)
+        for (ts, tails, mass), steps in zip(exact_slots, orbit_of_one_density(base)):
+            for x in xs:
+                exact = tails[bisect.bisect_right(ts, x)] / mass
+                assert abs(step_density_eval(steps, x) - exact) <= EXACT_REL * exact
+
+    @pytest.mark.parametrize("text", ["2", "2,3", "5,2,4"])
+    def test_integer_bases_are_exactly_uniform(self, text):
+        for ts, tails, mass in orbit_of_one_density_exact(new_base(parse_base_list(text))):
+            assert ts == [1] and tails == [mass, 0]
 
 
 # relative bound on |P h - h| for the transfer operator P of the period map
