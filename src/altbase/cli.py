@@ -6,7 +6,7 @@ Every command prints a human-readable summary by default and a
 deterministic JSON document with ``--json``; plot data goes to CSV files.
 
 Exit codes: 0 success, 2 expression parse error, 3 domain error, 4 numeric
-failure, 5 enumeration too large.
+failure, 5 input over the size bound (core.ENUMERATION_BOUND).
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import sys
 from typing import Iterable
 
 from . import core, digitset, measure, oracle
-from .core import EPS_SNAP, AlternateBase, StatePoint
+from .core import EPS_SNAP, AlternateBase, StatePoint, check_size
 from .errors import (
     AlphabetError,
+    AltBaseError,
     DomainError,
     NotAllowable,
     ParseError,
@@ -34,9 +35,16 @@ SCHEMA_VERSION = "1"
 SAMPLES_PER_UNIT = 2048
 
 EXIT_PARSE = 2
-EXIT_DOMAIN = 3
-EXIT_NUMERIC = 4
-EXIT_RESOURCE = 5
+# the exit code of each error type; a test checks that every AltBaseError subclass has one
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    DomainError: 3,
+    AlphabetError: 3,
+    NotAllowable: 3,
+    SingularSystem: 4,
+    TruncationTooShallow: 4,
+    SearchTooLarge: 5,
+}
 
 
 def _fmt(x: float) -> str:
@@ -121,12 +129,6 @@ def _sample_grid(lo: float, hi: float, cuts: Iterable[float], per_unit: int) -> 
     return sorted({q for q in pts if lo <= q < hi})
 
 
-def _check_rows(rows: float) -> None:
-    """Refuse a CSV whose row count, bounded from above, exceeds ENUMERATION_BOUND."""
-    if rows > oracle.ENUMERATION_BOUND:
-        raise SearchTooLarge(f"the CSV would exceed the {oracle.ENUMERATION_BOUND:.0e} row bound")
-
-
 def cmd_expand(args) -> None:
     base = _parse_base(args)
     x = parse_expression(args.x).value
@@ -165,7 +167,7 @@ def cmd_density(args) -> None:
     pw = measure.compose_map(base, args.slot)
     spec = measure.gora_density(pw, args.truncation)
     if args.csv:
-        _check_rows(max(2, args.samples) + 2 * len(spec.thresholds))
+        check_size(max(2, args.samples) + 2 * len(spec.thresholds), "the CSV", "row ")
         pts = _sample_grid(0.0, 1.0, spec.thresholds, args.samples)
         _write_csv(args.csv, "x,density", ((x, measure.density_eval(spec, x)) for x in pts))
     doc = run_output(
@@ -260,6 +262,7 @@ def cmd_orbit(args) -> None:
     _check_at_least("--steps", args.steps, 0)
     base = _parse_base(args)
     x = parse_expression(args.x).value
+    check_size(args.steps, "the orbit", "step ")
     s = StatePoint(0, x)
     step = core.greedy_step if args.mode == "greedy" else core.lazy_step
     rows = []
@@ -302,10 +305,12 @@ def cmd_graph(args) -> None:
     _check_at_least("--samples", args.samples, 1)
     base = _parse_base(args)
     kinds = ("greedy", "lazy") if args.mode == "both" else (args.mode,)
-    greedy = [measure.single_map(b).endpoints for b in base.betas]  # refuses a huge alphabet
+    # closed forms, checked before single_map lists the cuts of every slot
+    check_size(max(base.alphabets) + 1, "a one-base map", "branch ")
     # a branch of width w gets at most per_unit * w + 2 uniform samples and 2 at its ends
     rows = sum(args.samples * x + 4 * (m + 1) for x, m in zip(base.xmax, base.alphabets))
-    _check_rows(len(kinds) * rows)
+    check_size(len(kinds) * rows, "the CSV", "row ")
+    greedy = [measure.single_map(b).endpoints for b in base.betas]
     written = []
     for kind in kinds:
         stem, ext = os.path.splitext(args.csv)
@@ -379,18 +384,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except ParseError as exc:
+    except AltBaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DomainError, AlphabetError, NotAllowable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (SingularSystem, TruncationTooShallow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except SearchTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return _EXIT_CODES[type(exc)]
     return 0
 
 

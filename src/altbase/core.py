@@ -20,13 +20,31 @@ from numbers import Integral
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import AlphabetError, DomainError
+from .errors import AlphabetError, DomainError, SearchTooLarge
 
 EPS_SNAP = 1e-12
+# the most elements of any list, table, enumeration or CSV whose size comes from the input
+ENUMERATION_BOUND = 10**7
 
 
 def snap_ceil(y: float) -> int:
     return math.ceil(y - EPS_SNAP)
+
+
+def check_size(count: float, what: str, unit: str = "") -> None:
+    """Raise SearchTooLarge if ``count``, a closed-form size, exceeds ENUMERATION_BOUND."""
+    if count > ENUMERATION_BOUND:
+        raise SearchTooLarge(f"{what} exceeds the {ENUMERATION_BOUND:.0e} {unit}bound")
+
+
+def check_enumeration_bound(base: AlternateBase, n: int, what: str) -> None:
+    """Refuse positions 0..n-1 of ``base`` if they have over ENUMERATION_BOUND digit tuples."""
+    total = 1
+    for k in range(n):
+        total *= base.alphabet(k) + 1
+        if total > ENUMERATION_BOUND:
+            break
+    check_size(total, what)
 
 
 class _Record:
@@ -286,7 +304,9 @@ class DigitWord(_Record):
 def _digit_count(n: int) -> int:
     if n < 0:
         raise DomainError("digit count must be nonnegative")
-    return operator.index(n)  # a float count raises TypeError, as range(n) does
+    n = operator.index(n)  # a float count raises TypeError, as range(n) does
+    check_size(n, "the expansion", "digit ")
+    return n
 
 
 def _greedy_loop(slots: Iterable[tuple[float, int, float]], x: float) -> tuple[list[int], float]:

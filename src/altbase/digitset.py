@@ -16,9 +16,8 @@ import math
 from operator import lt
 from typing import Sequence
 
-from .core import EPS_SNAP, AlternateBase, _greedy_run, _Record
+from .core import EPS_SNAP, AlternateBase, _greedy_run, _Record, check_enumeration_bound
 from .errors import AlphabetError, DomainError, NotAllowable
-from .oracle import check_enumeration_bound
 
 # collisions of distinct digit blocks are exact in theory but inexact in
 # floats; values this close (relative to the top digit) are merged
@@ -71,7 +70,7 @@ def f_beta(base: AlternateBase, digits: Sequence[int]) -> float:
 
 def _all_block_values(base: AlternateBase) -> list[float]:
     """f-values of every digit block, in lexicographic block order."""
-    check_enumeration_bound(base, base.p, "digit-block")
+    check_enumeration_bound(base, base.p, "digit-block enumeration")
     p = base.p
     suffix_weight = [1.0] * (p + 1)
     for i in range(p - 1, -1, -1):

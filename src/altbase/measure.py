@@ -18,9 +18,8 @@ from bisect import bisect_left, bisect_right
 from numbers import Integral
 from typing import TYPE_CHECKING
 
-from .core import AlternateBase, _Record, snap_ceil
-from .errors import AlphabetError, DomainError, SearchTooLarge, SingularSystem, TruncationTooShallow
-from .oracle import ENUMERATION_BOUND, MATRIX_ENTRY_BOUND
+from .core import AlternateBase, _Record, check_size, snap_ceil
+from .errors import AlphabetError, DomainError, SingularSystem, TruncationTooShallow
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,8 +86,7 @@ def single_map(beta: float) -> PiecewiseLinearMap:
     if not 1.0 < beta < math.inf:
         raise DomainError(f"slope {beta!r} must be finite and exceed 1")
     m = snap_ceil(beta) - 1
-    if m >= ENUMERATION_BOUND:
-        raise SearchTooLarge(f"base {beta!r} has over the {ENUMERATION_BOUND:.0e} branch bound")
+    check_size(m + 1, "a one-base map", "branch ")
     pts = [k / beta for k in range(m + 1)] + [1.0]
     return PiecewiseLinearMap(tuple(pts), beta)
 
@@ -105,14 +103,11 @@ def compose_map(base: AlternateBase, slot: int) -> PiecewiseLinearMap:
     if not (0 <= slot < p):
         raise DomainError(f"slot {slot} outside [0, {p})")
     # branches grow like the slope product, not the digit-block count: bound cuts and passes
-    too_many = f"composed-map branch count exceeds the {ENUMERATION_BOUND:.0e} bound"
-    if max(base.alphabets) >= ENUMERATION_BOUND:
-        raise SearchTooLarge(too_many)
+    check_size(max(base.alphabets) + 1, "composed-map branch count")
     s = base.betas[slot]
     pts = single_map(s).endpoints
     for j in range(1, p):
-        if len(pts) * (base.alphabet(slot + j) + 1) > ENUMERATION_BOUND:
-            raise SearchTooLarge(too_many)
+        check_size(len(pts) * (base.alphabet(slot + j) + 1), "composed-map branch count")
         b = base.betas[(slot + j) % p]
         cuts = single_map(b).endpoints[1:-1]
         refined: list[float] = []
@@ -223,8 +218,9 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     K = len(cs)
     if K == 0:
         return DensitySpec(0, (), (), (), (1.0,), 1.0, B, M, (), ())
-    if K * K > MATRIX_ENTRY_BOUND:
-        raise SearchTooLarge(f"{K}x{K} correction matrix exceeds {MATRIX_ENTRY_BOUND:.0e} entries")
+    # the K x K arrays (80 MB each at the bound), then the K x M endpoint-orbit table
+    check_size(K * K, "the K x K correction matrix", "entry ")
+    check_size(K * M, "the K x M endpoint-orbit table", "entry ")
 
     orbits = _endpoint_orbits(map_, cs, M)
 

@@ -16,12 +16,8 @@ from itertools import chain, cycle, islice
 from numbers import Integral
 from typing import Iterator, Optional
 
-from .core import EPS_SNAP, AlternateBase, StatePoint, _Record
-from .errors import AlphabetError, DomainError, SearchTooLarge
-
-ENUMERATION_BOUND = 10**7
-# entries of one dense matrix: gora_density makes several K x K float64 arrays (80 MB at 10^7)
-MATRIX_ENTRY_BOUND = 10**7
+from .core import EPS_SNAP, AlternateBase, StatePoint, _Record, check_enumeration_bound, check_size
+from .errors import AlphabetError, DomainError
 
 # Orbits are iterated with a deterministic one-ulp dither.  Multiplication
 # by an exactly representable slope (an integer base like 2) is lossless in
@@ -82,15 +78,6 @@ class TupleSearchResult(_Record):
     value: float
 
 
-def check_enumeration_bound(base: AlternateBase, n: int, what: str) -> None:
-    """Raise SearchTooLarge if positions 0..n-1 have over ENUMERATION_BOUND digit tuples."""
-    total = 1
-    for k in range(n):
-        total *= base.alphabet(k) + 1
-        if total > ENUMERATION_BOUND:
-            raise SearchTooLarge(f"{what} enumeration exceeds the {ENUMERATION_BOUND:.0e} bound")
-
-
 def _prefix_products(base: AlternateBase, n: int) -> list[float]:
     prods = [1.0]
     for k in range(n):
@@ -106,7 +93,7 @@ def lex_greatest(base: AlternateBase, x: float, n: int) -> TupleSearchResult:
     """
     if not (-EPS_SNAP <= x <= base.xmax[0] + EPS_SNAP):
         raise DomainError(f"x={x!r} outside [0, xmax)")
-    check_enumeration_bound(base, n, f"{n}-digit")
+    check_enumeration_bound(base, n, f"{n}-digit enumeration")
     prods = _prefix_products(base, n)
     digits = [0] * n
     values = [0.0] * (n + 1)
@@ -136,7 +123,7 @@ def lex_least(base: AlternateBase, x: float, n: int) -> TupleSearchResult:
     """
     if not (0.0 < x <= base.xmax[0] + EPS_SNAP):
         raise DomainError(f"x={x!r} outside (0, xmax]")
-    check_enumeration_bound(base, n, f"{n}-digit")
+    check_enumeration_bound(base, n, f"{n}-digit enumeration")
     prods = _prefix_products(base, n)
     digits = [0] * n
     values = [0.0] * (n + 1)
@@ -288,5 +275,6 @@ def empirical_histogram(
         raise DomainError("need at least one bin")
     if not (0 <= slot < base.p):
         raise DomainError(f"slot {slot} outside [0, {base.p})")
+    check_size(bins, "the histogram", "bin ")
     counts = _orbit_tally(base, x0, slot + N * base.p, -1, slot, bins)[1]
     return EmpiricalStats(tuple(counts), N, None, StatePoint(0, x0))

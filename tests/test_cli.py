@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 import cli_golden
-from altbase import cli, measure
+from altbase import cli, errors, measure
 from altbase.cli import main
 from altbase.core import new_base
 from altbase.expr import parse_base_list
@@ -268,6 +268,38 @@ class TestDeterminismAndErrors:
         assert err.startswith("error:") and "row bound" in err
         assert list(tmp_path.iterdir()) == []
         assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("expand", "--base", "2.5", "--x", "0.3", "--digits", "400000000"),
+            ("orbit", "--base", "2.5", "--x", "0.3", "--steps", "40000000", "--csv", "out.csv"),
+            ("density", "--base", "2.5", "--truncation", "100000000", "--csv", "out.csv"),
+            ("measure", "--base", "2.5", "--interval", "0,1/2", "--truncation", "100000000"),
+            # 10^7 - 1 cuts pass the branch bound, but their CSV rows do not
+            ("graph", "--base", "9999999.5", "--mode", "lazy", "--samples", "1", "--csv", "out.csv"),
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_input_sized_allocation_exit(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (5, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        assert peak < 20 * 2**20
+
+    def test_every_error_type_has_an_exit_code(self):
+        types = [
+            t for t in vars(errors).values()
+            if isinstance(t, type) and issubclass(t, errors.AltBaseError) and t is not errors.AltBaseError
+        ]
+        assert errors.ParseError in types and all(t in cli._EXIT_CODES for t in types)
 
     def test_long_period_of_small_betas_builds(self, capsys):
         # 1.1^24 digit blocks number 2^24, but the period map has only 25 branches

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altbase import core
 from altbase.core import (
     AlternateBase,
     CantorBaseStream,
@@ -23,7 +24,7 @@ from altbase.core import (
     shift_base,
 )
 from altbase.digitset import DigitSet, DisagreementReport, Witness
-from altbase.errors import AlphabetError, DomainError
+from altbase.errors import AlphabetError, DomainError, SearchTooLarge
 from altbase.expr import BaseExpression
 from altbase.measure import DensitySpec, PiecewiseLinearMap, compose_map, gora_density
 from altbase.oracle import EmpiricalStats, SplitMix64, TupleSearchResult, lex_greatest
@@ -243,6 +244,30 @@ class TestExpand:
     def test_lazy_rejects_zero(self):
         with pytest.raises(DomainError):
             lazy_expand(base13(), 0.0, 3)
+
+
+EXPANSIONS = {
+    "greedy": lambda n: greedy_expand(base13(), 0.3, n),
+    "lazy": lambda n: lazy_expand(base13(), 0.3, n),
+    "cantor": lambda n: greedy_expand_cantor(CantorBaseStream(lambda k: 2.5), 0.3, n),
+}
+
+
+@pytest.mark.parametrize("expand", EXPANSIONS.values(), ids=EXPANSIONS.keys())
+class TestDigitCountBound:
+    def test_over_the_bound(self, expand):
+        with pytest.raises(SearchTooLarge, match="digit bound"):
+            expand(10**7 + 1)
+
+    def test_float_count_is_still_a_type_error(self, expand):
+        with pytest.raises(TypeError):
+            expand(2e7)
+
+    def test_boundary(self, expand, monkeypatch):
+        monkeypatch.setattr(core, "ENUMERATION_BOUND", 10)
+        assert len(expand(10)) == 10
+        with pytest.raises(SearchTooLarge):
+            expand(11)
 
 
 class TestArgumentCheckOrder:

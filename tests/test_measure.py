@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from altbase import measure
+from altbase import core, measure
 from altbase.core import StatePoint, greedy_step, new_base
 from altbase.errors import (
     AlphabetError,
@@ -113,7 +113,7 @@ class TestComposeMap:
     def test_single_map_over_the_bound_is_refused(self, monkeypatch):
         with pytest.raises(SearchTooLarge, match="branch bound"):
             single_map(1000000000.5)  # would list 10^9 endpoints
-        monkeypatch.setattr(measure, "ENUMERATION_BOUND", 10)
+        monkeypatch.setattr(core, "ENUMERATION_BOUND", 10)
         assert single_map(9.5).branch_count == 10
         with pytest.raises(SearchTooLarge, match="branch bound"):
             single_map(10.5)
@@ -215,6 +215,20 @@ class TestGoraDensity:
             m = PiecewiseLinearMap(tuple(k / K for k in range(K)) + (1.0,), K / 2)
             with pytest.raises(raised):
                 gora_density(m)
+
+    def test_endpoint_orbit_table_over_the_bound_is_refused(self, monkeypatch):
+        # two half-width branches of slope 1.5 both stop short of 1: K = 2, so M = 5 * 10^6 is the last depth
+        class Built(Exception):
+            pass
+
+        def refuse(*args):
+            raise Built
+
+        monkeypatch.setattr(measure, "_endpoint_orbits", refuse)
+        m = PiecewiseLinearMap((0.0, 0.5, 1.0), 1.5)
+        for M, raised in ((5 * 10**6, Built), (5 * 10**6 + 1, SearchTooLarge)):
+            with pytest.raises(raised):
+                gora_density(m, M)
 
     def test_weight_solve_residual(self):
         rng = SplitMix64(29)

@@ -220,6 +220,13 @@ class TestHistogram:
         st = empirical_histogram(base13(), np.int64(1), 0.3, np.int64(100), np.int32(8))
         assert seen == [(int, int, int)] and st.counts == (0,) * 8
 
+    def test_bins_over_the_bound_refused(self):
+        # the bin list takes its length from the caller: refused before it is built
+        with pytest.raises(SearchTooLarge, match="bin bound"):
+            empirical_histogram(new_base((2.5,)), 0, 0.3, 10, 10**7 + 1)
+        with pytest.raises(DomainError):  # the argument checks come first
+            empirical_histogram(new_base((2.5,)), 0, 1.5, 10, 10**7 + 1)
+
     def test_counts_sum(self):
         st = empirical_histogram(base13(), 1, 0.371, 5000, 16)
         assert sum(st.counts) == 5000
