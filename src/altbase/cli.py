@@ -15,7 +15,8 @@ import argparse
 import math
 import os
 import sys
-from typing import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from . import core, digitset, measure, oracle
 from .core import EPS_SNAP, AlternateBase, StatePoint, check_size
@@ -74,7 +75,7 @@ def _to_json(value) -> str:
                 out.append(ch)
         out.append('"')
         return "".join(out)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, Iterator)):
         return "[" + ",".join(_to_json(v) for v in value) + "]"
     if isinstance(value, dict):
         return "{" + ",".join(f"{_to_json(str(k))}:{_to_json(v)}" for k, v in value.items()) + "}"
@@ -263,15 +264,19 @@ def cmd_orbit(args) -> None:
     base = _parse_base(args)
     x = parse_expression(args.x).value
     check_size(args.steps, "the orbit", "step ")
-    s = StatePoint(0, x)
     step = core.greedy_step if args.mode == "greedy" else core.lazy_step
-    rows = []
-    for k in range(args.steps):
-        nxt, d = step(base, s)
-        rows.append((k, s.slot, s.value, d))
-        s = nxt
+    if args.steps:
+        step(base, StatePoint(0, x))  # a start outside the domain raises before the CSV opens
+
+    def rows():
+        s = StatePoint(0, x)
+        for k in range(args.steps):
+            nxt, d = step(base, s)
+            yield k, s.slot, s.value, d
+            s = nxt
+
     if args.csv:
-        _write_csv(args.csv, "step,slot,x,digit", rows)
+        _write_csv(args.csv, "step,slot,x,digit", rows())
     doc = run_output(
         "orbit",
         base,
@@ -279,20 +284,20 @@ def cmd_orbit(args) -> None:
             "mode": args.mode,
             "x": x,
             "steps": args.steps,
-            "trajectory": [{"step": k, "slot": i, "x": v, "digit": d} for k, i, v, d in rows],
+            "trajectory": ({"step": k, "slot": i, "x": v, "digit": d} for k, i, v, d in rows()),
         },
     )
-    lines = [f"{k}: slot {i} x={_fmt(v)} digit {d}" for k, i, v, d in rows]
+    lines = (f"{k}: slot {i} x={_fmt(v)} digit {d}" for k, i, v, d in rows())
     if args.csv:
-        lines.append(f"trajectory written to {args.csv}")
+        lines = chain(lines, [f"trajectory written to {args.csv}"])
     _emit(args, doc, lines)
 
 
-def _graph_rows(base: AlternateBase, kind: str, greedy: list[tuple[float, ...]], per_unit: int):
+def _graph_rows(base: AlternateBase, kind: str, per_unit: int):
     """(x, y, digit, slot) samples of every branch, extra ones only at its own interior ends."""
     for i, (b, m) in enumerate(zip(base.betas, base.alphabets)):
         if kind == "greedy":
-            ends = greedy[i][:-1] + (base.xmax[i],)
+            ends = [k / b for k in range(m + 1)] + [base.xmax[i]]
         else:
             ends = [0.0] + [(base.xsup(i + 1) + k) / b for k in range(m + 1)]
         for k in range(m + 1):
@@ -305,17 +310,16 @@ def cmd_graph(args) -> None:
     _check_at_least("--samples", args.samples, 1)
     base = _parse_base(args)
     kinds = ("greedy", "lazy") if args.mode == "both" else (args.mode,)
-    # closed forms, checked before single_map lists the cuts of every slot
+    # closed forms, checked before any slot's cuts are listed
     check_size(max(base.alphabets) + 1, "a one-base map", "branch ")
     # a branch of width w gets at most per_unit * w + 2 uniform samples and 2 at its ends
     rows = sum(args.samples * x + 4 * (m + 1) for x, m in zip(base.xmax, base.alphabets))
     check_size(len(kinds) * rows, "the CSV", "row ")
-    greedy = [measure.single_map(b).endpoints for b in base.betas]
     written = []
     for kind in kinds:
         stem, ext = os.path.splitext(args.csv)
         path = f"{stem}_{kind}{ext or '.csv'}" if args.mode == "both" else args.csv
-        _write_csv(path, "x,y,branch_index,slot", _graph_rows(base, kind, greedy, args.samples))
+        _write_csv(path, "x,y,branch_index,slot", _graph_rows(base, kind, args.samples))
         written.append(path)
     doc = run_output("graph", base, {"mode": args.mode, "files": written})
     _emit(args, doc, [f"graph samples written to {p}" for p in written])

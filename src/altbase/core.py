@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import cycle, islice, repeat
+from itertools import count, cycle, islice, repeat
 from numbers import Integral
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -433,12 +433,7 @@ class CantorBaseStream:
     """
 
     def __init__(self, source: BetaSource):
-        if callable(source):
-            self._fn = source
-            self._it = None
-        else:
-            self._fn = None
-            self._it = iter(source)
+        self._it = map(source, count()) if callable(source) else iter(source)
         self._prefix: list[float] = []
 
     @classmethod
@@ -448,14 +443,12 @@ class CantorBaseStream:
     def beta(self, n: int) -> float:
         while len(self._prefix) <= n:
             k = len(self._prefix)
-            if self._fn is not None:
-                b = float(self._fn(k))
-            else:
-                try:
-                    b = float(next(self._it))
-                except StopIteration:
-                    raise DomainError(f"base stream exhausted at index {k}") from None
+            try:
+                b = float(next(self._it))
+            except StopIteration:
+                raise DomainError(f"base stream exhausted at index {k}") from None
             if not math.isfinite(b) or b <= 1.0:
+                self._it = repeat(b)  # a retry is refused too, not handed the next entry
                 raise DomainError(f"base stream produced {b!r} at index {k}, need > 1")
             self._prefix.append(b)
         return self._prefix[n]

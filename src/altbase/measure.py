@@ -105,11 +105,12 @@ def compose_map(base: AlternateBase, slot: int) -> PiecewiseLinearMap:
     # branches grow like the slope product, not the digit-block count: bound cuts and passes
     check_size(max(base.alphabets) + 1, "composed-map branch count")
     s = base.betas[slot]
-    pts = single_map(s).endpoints
+    # single_map's points k / beta, listed without building one map per base
+    pts = [k / s for k in range(base.alphabets[slot] + 1)] + [1.0]
     for j in range(1, p):
-        check_size(len(pts) * (base.alphabet(slot + j) + 1), "composed-map branch count")
-        b = base.betas[(slot + j) % p]
-        cuts = single_map(b).endpoints[1:-1]
+        b, m = base.beta(slot + j), base.alphabet(slot + j)
+        check_size(len(pts) * (m + 1), "composed-map branch count")
+        cuts = [k / b for k in range(1, m + 1)]
         refined: list[float] = []
         for lo, hi in zip(pts, pts[1:]):
             refined.append(lo)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import tracemalloc
 import pytest
 
 import cli_golden
-from altbase import cli, errors, measure
+from altbase import cli, errors
 from altbase.cli import main
 from altbase.core import new_base
 from altbase.expr import parse_base_list
@@ -148,6 +149,54 @@ class TestOrbitGraph:
         assert len(lines) == 7
         assert lines[1].startswith("0,0,0.25,")
 
+    @pytest.mark.parametrize(
+        "flags, bound", [((), 2), (("--csv", "o.csv"), 2), (("--json",), 25)], ids=["text", "csv", "json"]
+    )
+    def test_orbit_memory_does_not_grow_with_steps(self, tmp_path, monkeypatch, flags, bound):
+        # text and CSV rows stream; JSON holds only its output string, about 170 B a step
+        monkeypatch.chdir(tmp_path)
+        argv = ["orbit", "--base", "2.5", "--x", "0.3", "--steps", "100000", *flags]
+        with open("stdout.txt", "w") as out, contextlib.redirect_stdout(out):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < bound * 2**20
+        text = pathlib.Path("stdout.txt").read_text()
+        if "--json" in flags:
+            assert len(json.loads(text)["payload"]["trajectory"]) == 100000
+        else:
+            assert text.startswith("0: slot 0 x=0.29999999999999999 digit 0\n")
+            assert text.count("\n") == 100000 + ("--csv" in flags)
+        if "--csv" in flags:
+            assert pathlib.Path("o.csv").read_text().count("\n") == 100001
+
+    @pytest.mark.parametrize("mode", ["greedy", "lazy"])
+    def test_orbit_csv_rows_equal_json_trajectory(self, capsys, tmp_path, mode):
+        # the rows are made twice, once for the CSV and once for the JSON
+        path = tmp_path / "orbit.csv"
+        code, out, _ = run(
+            capsys, "orbit", "--base", BASE13, "--x", "0.25", "--steps", "50", "--mode", mode,
+            "--csv", str(path), "--json",
+        )
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert lines[0] == "step,slot,x,digit"
+        rows = [line.split(",") for line in lines[1:]]
+        csv_rows = [{"step": int(k), "slot": int(i), "x": float(v), "digit": int(d)} for k, i, v, d in rows]
+        assert csv_rows == json.loads(out)["payload"]["trajectory"]
+        assert len(csv_rows) == 50
+
+    def test_orbit_start_outside_domain_writes_no_csv(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "orbit", "--base", "2.5", "--x", "9", "--steps", "3", "--csv", "o.csv")
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_graph_files(self, capsys, tmp_path):
         path = tmp_path / "graph.csv"
         code, _, _ = run(
@@ -199,9 +248,8 @@ class TestGraphRows:
         # every interior cut on either side: 4m + 2 rows per file
         base = new_base((100000.5,))
         m = base.alphabets[0]
-        greedy = [measure.single_map(base.betas[0]).endpoints]
         for kind in ("greedy", "lazy"):
-            assert sum(1 for _ in cli._graph_rows(base, kind, greedy, 1)) == 4 * m + 2
+            assert sum(1 for _ in cli._graph_rows(base, kind, 1)) == 4 * m + 2
 
 
 class TestDeterminismAndErrors:

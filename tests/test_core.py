@@ -477,6 +477,13 @@ class TestCantor:
         with pytest.raises(DomainError):
             greedy_expand_cantor(seq, 0.5, 2)
 
+    @pytest.mark.parametrize("source", [lambda n: (0.5, 3.0)[n], [0.5, 3.0]], ids=["callable", "list"])
+    def test_refused_entry_stays_refused(self, source):
+        seq = CantorBaseStream(source)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="produced 0.5 at index 0"):
+                seq.beta(0)
+
     def test_exhausted_stream(self):
         seq = CantorBaseStream(iter([2.0]))
         with pytest.raises(DomainError):
