@@ -53,7 +53,8 @@ ERRORS = (
 
 def argvs() -> list[list[str]]:
     runs = [[form[0], "--base", base, *form[1:], "--json"] for base in BASES for form in FORMS]
-    return runs + [list(argv) for argv in ERRORS]
+    text = [[form[0], "--base", BASES[0], *form[1:]] for form in FORMS]
+    return runs + [list(argv) for argv in ERRORS] + text
 
 
 def run_cli(argv: list[str], workdir: str) -> dict:
