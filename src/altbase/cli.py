@@ -4,6 +4,7 @@ Bases and points are given as arithmetic expressions (see altbase.expr),
 so irrational inputs like ``(1+sqrt(13))/2`` keep full double precision.
 Every command prints a human-readable summary by default and a
 deterministic JSON document with ``--json``; plot data goes to CSV files.
+A command returns its base, payload and lines; ``main`` renders them.
 
 Exit codes: 0 success, 2 expression parse error, 3 domain error, 4 numeric
 failure, 5 input over the size bound (core.ENUMERATION_BOUND).
@@ -34,6 +35,8 @@ from .expr import parse_base_list, parse_expression
 
 SCHEMA_VERSION = "1"
 SAMPLES_PER_UNIT = 2048
+# what a command returns: the base, the JSON payload and the human-readable lines
+_Output = tuple[AlternateBase, dict, Iterable[str]]
 
 EXIT_PARSE = 2
 # the exit code of each error type; a test checks that every AltBaseError subclass has one
@@ -46,6 +49,15 @@ _EXIT_CODES = {
     TruncationTooShallow: 4,
     SearchTooLarge: 5,
 }
+
+
+# the escapes of a JSON string: quote, backslash and the controls U+0000-U+001F; every
+# other ASCII character maps to itself, which keeps str.translate on its fast path
+_JSON_ESCAPES = str.maketrans(
+    {chr(c): chr(c) for c in range(0x20, 0x80)}
+    | {'"': '\\"', "\\": "\\\\"}
+    | {chr(c): f"\\u{c:04x}" for c in range(0x20)}
+)
 
 
 def _fmt(x: float) -> str:
@@ -65,38 +77,12 @@ def _to_json(value) -> str:
             raise ValueError(f"cannot serialize {value!r}")
         return _fmt(value)
     if isinstance(value, str):
-        out = ['"']
-        for ch in value:
-            if ch in '"\\':
-                out.append("\\" + ch)
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return '"' + value.translate(_JSON_ESCAPES) + '"'
     if isinstance(value, (list, tuple, Iterator)):
         return "[" + ",".join(_to_json(v) for v in value) + "]"
     if isinstance(value, dict):
         return "{" + ",".join(f"{_to_json(str(k))}:{_to_json(v)}" for k, v in value.items()) + "}"
     raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def run_output(command: str, base: AlternateBase, payload: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "base": list(base.betas),
-        "payload": payload,
-    }
-
-
-def _emit(args, doc: dict, human: Iterable[str]) -> None:
-    if args.json:
-        print(_to_json(doc))
-    else:
-        for line in human:
-            print(line)
 
 
 def _write_csv(path: str, header: str, rows: Iterable[tuple]) -> None:
@@ -130,7 +116,7 @@ def _sample_grid(lo: float, hi: float, cuts: Iterable[float], per_unit: int) -> 
     return sorted({q for q in pts if lo <= q < hi})
 
 
-def cmd_expand(args) -> None:
+def cmd_expand(args) -> _Output:
     base = _parse_base(args)
     x = parse_expression(args.x).value
     if args.mode == "greedy":
@@ -140,29 +126,22 @@ def cmd_expand(args) -> None:
     value = core.evaluate(base, word)
     prod = math.prod(base.beta(k) for k in range(len(word)))
     residual_bound = base.xsup(len(word)) / prod
-    doc = run_output(
-        "expand",
-        base,
-        {
-            "mode": args.mode,
-            "x": x,
-            "digits": list(word.digits),
-            "value": value,
-            "residual_bound": residual_bound,
-        },
-    )
-    _emit(
-        args,
-        doc,
-        [
-            f"digits: {_digit_string(word.digits)}",
-            f"partial value: {_fmt(value)}",
-            f"residual bound: {_fmt(residual_bound)}",
-        ],
-    )
+    payload = {
+        "mode": args.mode,
+        "x": x,
+        "digits": list(word.digits),
+        "value": value,
+        "residual_bound": residual_bound,
+    }
+    lines = [
+        f"digits: {_digit_string(word.digits)}",
+        f"partial value: {_fmt(value)}",
+        f"residual bound: {_fmt(residual_bound)}",
+    ]
+    return base, payload, lines
 
 
-def cmd_density(args) -> None:
+def cmd_density(args) -> _Output:
     _check_at_least("--samples", args.samples, 1)
     base = _parse_base(args)
     pw = measure.compose_map(base, args.slot)
@@ -171,19 +150,15 @@ def cmd_density(args) -> None:
         check_size(max(2, args.samples) + 2 * len(spec.thresholds), "the CSV", "row ")
         pts = _sample_grid(0.0, 1.0, spec.thresholds, args.samples)
         _write_csv(args.csv, "x,density", ((x, measure.density_eval(spec, x)) for x in pts))
-    doc = run_output(
-        "density",
-        base,
-        {
-            "slot": args.slot,
-            "K": spec.K,
-            "c": list(spec.c),
-            "d": list(spec.d),
-            "C": spec.C,
-            "slope": spec.B,
-            "truncation": spec.M,
-        },
-    )
+    payload = {
+        "slot": args.slot,
+        "K": spec.K,
+        "c": list(spec.c),
+        "d": list(spec.d),
+        "C": spec.C,
+        "slope": spec.B,
+        "truncation": spec.M,
+    }
     lines = [
         f"slot {args.slot}: K={spec.K}, C={_fmt(spec.C)}, slope={_fmt(spec.B)}",
         "c: " + " ".join(_fmt(c) for c in spec.c),
@@ -191,7 +166,7 @@ def cmd_density(args) -> None:
     ]
     if args.csv:
         lines.append(f"density samples written to {args.csv}")
-    _emit(args, doc, lines)
+    return base, payload, lines
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -201,16 +176,16 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return parse_expression(parts[0]).value, parse_expression(parts[1]).value
 
 
-def cmd_measure(args) -> None:
+def cmd_measure(args) -> _Output:
     base = _parse_base(args)
     a, b = _parse_interval(args.interval)
     spec = measure.gora_density(measure.compose_map(base, args.slot), args.truncation)
     value = measure.measure_interval(spec, a, b)
-    doc = run_output("measure", base, {"slot": args.slot, "a": a, "b": b, "value": value})
-    _emit(args, doc, [f"measure of slot {args.slot} interval [{_fmt(a)}, {_fmt(b)}): {_fmt(value)}"])
+    line = f"measure of slot {args.slot} interval [{_fmt(a)}, {_fmt(b)}): {_fmt(value)}"
+    return base, {"slot": args.slot, "a": a, "b": b, "value": value}, [line]
 
 
-def cmd_freq(args) -> None:
+def cmd_freq(args) -> _Output:
     base = _parse_base(args)
     x0 = None if args.x0 is None else parse_expression(args.x0).value
     value = measure.frequency(base, args.digit)
@@ -222,20 +197,16 @@ def cmd_freq(args) -> None:
         payload["iterations"] = args.empirical
         payload["seed"] = args.seed
         lines.append(f"empirical over {args.empirical} steps: {_fmt(emp)}")
-    _emit(args, run_output("freq", base, payload), lines)
+    return base, payload, lines
 
 
-def cmd_entropy(args) -> None:
+def cmd_entropy(args) -> _Output:
     base = _parse_base(args)
     value = measure.entropy(base)
-    _emit(
-        args,
-        run_output("entropy", base, {"entropy": value}),
-        [f"entropy: {_fmt(value)}"],
-    )
+    return base, {"entropy": value}, [f"entropy: {_fmt(value)}"]
 
 
-def cmd_compare(args) -> None:
+def cmd_compare(args) -> _Output:
     base = _parse_base(args)
     report = digitset.compare_transforms(base)
     payload = {
@@ -256,10 +227,10 @@ def cmd_compare(args) -> None:
                 f"  [{_fmt(iv[0])}, {_fmt(iv[1])})"
                 f"  witness x={_fmt(w.x)}: {_fmt(w.delta_image)} vs {_fmt(w.composed_image)}"
             )
-    _emit(args, run_output("compare", base, payload), lines)
+    return base, payload, lines
 
 
-def cmd_orbit(args) -> None:
+def cmd_orbit(args) -> _Output:
     _check_at_least("--steps", args.steps, 0)
     base = _parse_base(args)
     x = parse_expression(args.x).value
@@ -277,20 +248,16 @@ def cmd_orbit(args) -> None:
 
     if args.csv:
         _write_csv(args.csv, "step,slot,x,digit", rows())
-    doc = run_output(
-        "orbit",
-        base,
-        {
-            "mode": args.mode,
-            "x": x,
-            "steps": args.steps,
-            "trajectory": ({"step": k, "slot": i, "x": v, "digit": d} for k, i, v, d in rows()),
-        },
-    )
+    payload = {
+        "mode": args.mode,
+        "x": x,
+        "steps": args.steps,
+        "trajectory": ({"step": k, "slot": i, "x": v, "digit": d} for k, i, v, d in rows()),
+    }
     lines = (f"{k}: slot {i} x={_fmt(v)} digit {d}" for k, i, v, d in rows())
     if args.csv:
         lines = chain(lines, [f"trajectory written to {args.csv}"])
-    _emit(args, doc, lines)
+    return base, payload, lines
 
 
 def _graph_rows(base: AlternateBase, kind: str, per_unit: int):
@@ -306,7 +273,7 @@ def _graph_rows(base: AlternateBase, kind: str, per_unit: int):
                 yield x, b * x - k, k, i
 
 
-def cmd_graph(args) -> None:
+def cmd_graph(args) -> _Output:
     _check_at_least("--samples", args.samples, 1)
     base = _parse_base(args)
     kinds = ("greedy", "lazy") if args.mode == "both" else (args.mode,)
@@ -321,8 +288,8 @@ def cmd_graph(args) -> None:
         path = f"{stem}_{kind}{ext or '.csv'}" if args.mode == "both" else args.csv
         _write_csv(path, "x,y,branch_index,slot", _graph_rows(base, kind, args.samples))
         written.append(path)
-    doc = run_output("graph", base, {"mode": args.mode, "files": written})
-    _emit(args, doc, [f"graph samples written to {p}" for p in written])
+    lines = [f"graph samples written to {p}" for p in written]
+    return base, {"mode": args.mode, "files": written}, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +354,18 @@ def main(argv: list[str] | None = None) -> int:
         os.environ.setdefault(name, "1")
     args = build_parser().parse_args(argv)
     try:
-        args.fn(args)
+        base, payload, lines = args.fn(args)
+        # rendering stays inside the try: orbit makes its rows while they are printed
+        if args.json:
+            doc = {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "base": list(base.betas),
+                "payload": payload,
+            }
+            lines = [_to_json(doc)]
+        for line in lines:
+            print(line)
     except AltBaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]

@@ -369,5 +369,6 @@ def mu_product(base: AlternateBase, queries: list[IntervalMeasureQuery]) -> floa
         if q.slot in seen:
             raise DomainError(f"duplicate slot {q.slot} in query")
         seen.add(q.slot)
-    specs = slot_densities(base)
-    return sum(measure_interval(specs[q.slot], q.a, q.b) for q in queries) / base.p
+    # only the queried slots' densities are built
+    masses = (measure_interval(gora_density(compose_map(base, q.slot)), q.a, q.b) for q in queries)
+    return sum(masses) / base.p

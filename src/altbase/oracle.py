@@ -88,31 +88,26 @@ def _prefix_products(base: AlternateBase, n: int) -> list[float]:
 def lex_greatest(base: AlternateBase, x: float, n: int) -> TupleSearchResult:
     """Lexicographically greatest digit tuple whose value stays <= x.
 
-    Descending depth-first enumeration; a prefix is abandoned as soon as its
-    own value (its cheapest completion) already exceeds x.
+    Each position takes the largest digit that keeps the prefix's value <= x.
+    The search never backtracks: a prefix <= x stays <= x under the all-zero
+    completion, since v + 0.0 == v.
     """
     if not (-EPS_SNAP <= x <= base.xmax[0] + EPS_SNAP):
         raise DomainError(f"x={x!r} outside [0, xmax)")
     check_enumeration_bound(base, n, f"{n}-digit enumeration")
     prods = _prefix_products(base, n)
-    digits = [0] * n
-    values = [0.0] * (n + 1)
-
-    def descend(k: int, acc: float) -> bool:
-        if k == n:
-            return True
+    digits = []
+    value = 0.0
+    for k in range(n):
         for c in range(base.alphabet(k), -1, -1):
-            v = acc + c / prods[k + 1]
+            v = value + c / prods[k + 1]
             if v <= x:
-                digits[k] = c
-                values[k + 1] = v
-                if descend(k + 1, v):
-                    return True
-        return False
-
-    if not descend(0, 0.0):
-        raise DomainError(f"no admissible tuple below x={x!r}")
-    return TupleSearchResult(tuple(digits), values[n])
+                digits.append(c)
+                value = v
+                break
+        else:
+            raise DomainError(f"no admissible tuple below x={x!r}")
+    return TupleSearchResult(tuple(digits), value)
 
 
 def lex_least(base: AlternateBase, x: float, n: int) -> TupleSearchResult:

@@ -252,7 +252,27 @@ class TestGraphRows:
             assert sum(1 for _ in cli._graph_rows(base, kind, 1)) == 4 * m + 2
 
 
+def _json_string_reference(text):
+    """JSON string escaping one character at a time: quote, backslash, controls below 0x20."""
+    out = []
+    for ch in text:
+        if ch in '"\\':
+            out.append("\\" + ch)
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return '"' + "".join(out) + '"'
+
+
 class TestDeterminismAndErrors:
+    def test_json_string_escapes(self):
+        texts = [chr(c) for c in range(0x80)] + ["\u00e9", "\u2028", "\U0001f600"]
+        texts.append("".join(texts))
+        for text in texts:
+            assert cli._to_json(text) == _json_string_reference(text)
+            assert json.loads(cli._to_json(text)) == text
+
     def test_byte_identical_json(self, capsys):
         argv = ["freq", "--base", BASE13, "--digit", "1", "--empirical", "5000",
                 "--seed", "7", "--json"]

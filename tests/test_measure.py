@@ -380,6 +380,21 @@ class TestEntropyAndProduct:
         q = IntervalMeasureQuery(0, 0.0, 1 / b.betas[0])
         assert mu_product(b, [q]) == pytest.approx((13 + SQRT13) / 52, abs=1e-9)
 
+    def test_mu_product_builds_only_queried_slots(self, monkeypatch):
+        b = new_base((PHI, PHI, math.sqrt(5)))
+        expected = measure_interval(slot_densities(b)[1], 0.2, 0.7) / 3
+        built = []
+
+        def counted(map_, *args):
+            built.append(map_)
+            return gora_density(map_, *args)
+
+        monkeypatch.setattr(measure, "gora_density", counted)
+        assert mu_product(b, [IntervalMeasureQuery(1, 0.2, 0.7)]) == expected
+        assert len(built) == 1
+        assert mu_product(b, []) == 0.0
+        assert len(built) == 1
+
     def test_mu_product_duplicate_slot(self):
         b = base13()
         qs = [IntervalMeasureQuery(0, 0, 0.5), IntervalMeasureQuery(0, 0.5, 1)]

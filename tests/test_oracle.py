@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from altbase.core import (
+    EPS_SNAP,
     _greedy_run,
     greedy_expand,
     lazy_expand,
@@ -83,6 +84,16 @@ class TestLexSearch:
         b = base13()
         assert lex_greatest(b, 0.0, 4).digits == (0, 0, 0, 0)
         assert lex_least(b, b.xmax[0], 4).digits == (2, 1, 2, 1)
+
+    @pytest.mark.parametrize("x", [-EPS_SNAP, -1e-14, -5e-324])
+    def test_negative_x_within_snap(self, x):
+        # inside the domain check, but no digit keeps even the first prefix <= x
+        b = base13()
+        for n in (1, 4):
+            with pytest.raises(DomainError):
+                lex_greatest(b, x, n)
+        res = lex_greatest(b, x, 0)
+        assert (res.digits, res.value) == ((), 0.0)
 
     def test_phi_phi_sqrt5_prefix(self):
         b = new_base((PHI, PHI, math.sqrt(5)))
