@@ -31,7 +31,7 @@ from .errors import (
     SingularSystem,
     TruncationTooShallow,
 )
-from .expr import parse_base_list, parse_expression
+from .expr import _parse_list, parse_base_list, parse_expression
 
 SCHEMA_VERSION = "1"
 SAMPLES_PER_UNIT = 2048
@@ -85,11 +85,13 @@ def _to_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _write_csv(path: str, header: str, rows: Iterable[tuple]) -> None:
+def _write_csv(path: str, header: str, rows: Iterable[tuple]) -> Iterator[tuple]:
+    """Write the rows to a CSV file, yielding each one once it is written."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+            fh.write(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]) + "\n")
+            yield row
 
 
 def _parse_base(args) -> AlternateBase:
@@ -149,7 +151,8 @@ def cmd_density(args) -> _Output:
     if args.csv:
         check_size(max(2, args.samples) + 2 * len(spec.thresholds), "the CSV", "row ")
         pts = _sample_grid(0.0, 1.0, spec.thresholds, args.samples)
-        _write_csv(args.csv, "x,density", ((x, measure.density_eval(spec, x)) for x in pts))
+        for _ in _write_csv(args.csv, "x,density", ((x, measure.density_eval(spec, x)) for x in pts)):
+            pass
     payload = {
         "slot": args.slot,
         "K": spec.K,
@@ -169,11 +172,11 @@ def cmd_density(args) -> _Output:
     return base, payload, lines
 
 
-def _parse_interval(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
+def _parse_interval(text: str) -> tuple[float, ...]:
+    values = _parse_list(text)
+    if len(values) != 2:
         raise ParseError("interval needs two comma-separated expressions", 0)
-    return parse_expression(parts[0]).value, parse_expression(parts[1]).value
+    return values
 
 
 def cmd_measure(args) -> _Output:
@@ -246,15 +249,15 @@ def cmd_orbit(args) -> _Output:
             yield k, s.slot, s.value, d
             s = nxt
 
-    if args.csv:
-        _write_csv(args.csv, "step,slot,x,digit", rows())
+    # one pass: with --csv each row is written to the file as it is rendered
+    trajectory = _write_csv(args.csv, "step,slot,x,digit", rows()) if args.csv else rows()
     payload = {
         "mode": args.mode,
         "x": x,
         "steps": args.steps,
-        "trajectory": ({"step": k, "slot": i, "x": v, "digit": d} for k, i, v, d in rows()),
+        "trajectory": ({"step": k, "slot": i, "x": v, "digit": d} for k, i, v, d in trajectory),
     }
-    lines = (f"{k}: slot {i} x={_fmt(v)} digit {d}" for k, i, v, d in rows())
+    lines = (f"{k}: slot {i} x={_fmt(v)} digit {d}" for k, i, v, d in trajectory)
     if args.csv:
         lines = chain(lines, [f"trajectory written to {args.csv}"])
     return base, payload, lines
@@ -286,7 +289,8 @@ def cmd_graph(args) -> _Output:
     for kind in kinds:
         stem, ext = os.path.splitext(args.csv)
         path = f"{stem}_{kind}{ext or '.csv'}" if args.mode == "both" else args.csv
-        _write_csv(path, "x,y,branch_index,slot", _graph_rows(base, kind, args.samples))
+        for _ in _write_csv(path, "x,y,branch_index,slot", _graph_rows(base, kind, args.samples)):
+            pass
         written.append(path)
     lines = [f"graph samples written to {p}" for p in written]
     return base, {"mode": args.mode, "files": written}, lines

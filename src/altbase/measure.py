@@ -335,12 +335,12 @@ def frequency(base: AlternateBase, digit: int) -> float:
         raise AlphabetError(f"digit {digit!r} is not an integer")
     if digit < 0:
         raise DomainError("digits are nonnegative")
-    specs = slot_densities(base)
     total = 0.0
-    for spec, beta, m in zip(specs, base.betas, base.alphabets):
+    # only the densities of slots where the digit occurs are built
+    for i, (beta, m) in enumerate(zip(base.betas, base.alphabets)):
         if digit <= m:
             hi = 1.0 if digit == m else (digit + 1) / beta
-            total += measure_interval(spec, digit / beta, hi)
+            total += measure_interval(gora_density(compose_map(base, i)), digit / beta, hi)
     return total / base.p
 
 

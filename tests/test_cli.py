@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 import os
@@ -10,7 +9,7 @@ import tracemalloc
 import pytest
 
 import cli_golden
-from altbase import cli, errors
+from altbase import cli, core, errors
 from altbase.cli import main
 from altbase.core import new_base
 from altbase.expr import parse_base_list
@@ -149,34 +148,49 @@ class TestOrbitGraph:
         assert len(lines) == 7
         assert lines[1].startswith("0,0,0.25,")
 
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_orbit_csv_steps_once(self, capsys, tmp_path, monkeypatch, flags):
+        # one step checks the start, then each step makes a row for both the CSV and stdout
+        real, calls = core.greedy_step, []
+        monkeypatch.setattr(core, "greedy_step", lambda *a: calls.append(a) or real(*a))
+        for steps in (0, 50):
+            path = tmp_path / f"o{steps}.csv"
+            code, _, _ = run(
+                capsys, "orbit", "--base", "2.5", "--x", "0.3", "--steps", str(steps), "--csv", str(path), *flags
+            )
+            assert code == 0
+            assert path.read_text().count("\n") == steps + 1
+        assert len(calls) == 1 + 50
+
     @pytest.mark.parametrize(
-        "flags, bound", [((), 2), (("--csv", "o.csv"), 2), (("--json",), 25)], ids=["text", "csv", "json"]
+        "flags, bound_mb", [((), 4), (("--csv", "o.csv"), 4), (("--json",), 25)], ids=["text", "csv", "json"]
     )
-    def test_orbit_memory_does_not_grow_with_steps(self, tmp_path, monkeypatch, flags, bound):
-        # text and CSV rows stream; JSON holds only its output string, about 170 B a step
-        monkeypatch.chdir(tmp_path)
-        argv = ["orbit", "--base", "2.5", "--x", "0.3", "--steps", "100000", *flags]
-        with open("stdout.txt", "w") as out, contextlib.redirect_stdout(out):
-            tracemalloc.start()
-            try:
-                code = main(argv)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert code == 0
-        assert peak < bound * 2**20
-        text = pathlib.Path("stdout.txt").read_text()
-        if "--json" in flags:
-            assert len(json.loads(text)["payload"]["trajectory"]) == 100000
-        else:
-            assert text.startswith("0: slot 0 x=0.29999999999999999 digit 0\n")
-            assert text.count("\n") == 100000 + ("--csv" in flags)
-        if "--csv" in flags:
-            assert pathlib.Path("o.csv").read_text().count("\n") == 100001
+    def test_orbit_memory_does_not_grow_with_steps(self, tmp_path, flags, bound_mb):
+        # the peak RSS of a child process at 10^4 and at 10^5 steps; text and CSV rows
+        # stream, JSON holds only its output string, about 170 B a step
+        peaks = []
+        for steps in (10**4, 10**5):
+            argv = ["orbit", "--base", "2.5", "--x", "0.3", "--steps", str(steps), *flags]
+            with open(tmp_path / "stdout.txt", "w") as out:
+                proc = subprocess.run(
+                    [sys.executable, "-c", _RSS_PROBE, *argv], cwd=tmp_path, env=_child_env(),
+                    stdout=out, stderr=subprocess.PIPE, text=True,
+                )
+            assert proc.returncode == 0, proc.stderr
+            peaks.append(int(proc.stderr) / 1024)
+            text = (tmp_path / "stdout.txt").read_text()
+            if "--json" in flags:
+                assert len(json.loads(text)["payload"]["trajectory"]) == steps
+            else:
+                assert text.startswith("0: slot 0 x=0.29999999999999999 digit 0\n")
+                assert text.count("\n") == steps + ("--csv" in flags)
+            if "--csv" in flags:
+                assert (tmp_path / "o.csv").read_text().count("\n") == steps + 1
+        assert peaks[1] - peaks[0] < bound_mb, peaks
 
     @pytest.mark.parametrize("mode", ["greedy", "lazy"])
     def test_orbit_csv_rows_equal_json_trajectory(self, capsys, tmp_path, mode):
-        # the rows are made twice, once for the CSV and once for the JSON
+        # one pass makes each row, writes it to the CSV and renders it into the JSON
         path = tmp_path / "orbit.csv"
         code, out, _ = run(
             capsys, "orbit", "--base", BASE13, "--x", "0.25", "--steps", "50", "--mode", mode,
@@ -284,6 +298,30 @@ class TestDeterminismAndErrors:
         code, _, err = run(capsys, "expand", "--base", "2+*3", "--x", "0.5")
         assert code == 2
         assert "position" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("expand", "--base", "2,1+", "--x", "0.5"), "expected a number, name or parenthesis (at position 4)"),
+            (("expand", "--base", "2,,3", "--x", "0.5"), "expected a number, name or parenthesis (at position 2)"),
+            (("expand", "--base", "1.5, 2+*3", "--x", "0.5"), "expected a number, name or parenthesis (at position 7)"),
+            (("measure", "--base", "2", "--interval", "0,1/0"), "division by zero (at position 3)"),
+            (("measure", "--base", "2", "--interval", "0, 1)"), "trailing input (at position 4)"),
+            (("measure", "--base", "2", "--interval", "1,2,3"), "interval needs two comma-separated expressions (at position 0)"),
+            (("measure", "--base", "2", "--interval", " "), "interval needs two comma-separated expressions (at position 0)"),
+            (("measure", "--base", " ", "--interval", "0,1"), "empty base list (at position 0)"),
+        ],
+        ids=["base-second", "base-empty-part", "base-blank-after-comma", "interval-second",
+             "interval-trailing", "interval-three", "interval-blank", "base-blank"],
+    )
+    def test_parse_positions_count_from_the_start_of_the_option(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_interval_positions_count_from_the_start_of_the_text(self):
+        assert cli._parse_interval(" 1/4, 3/4") == (0.25, 0.75)
+        with pytest.raises(errors.ParseError) as exc:
+            cli._parse_interval("0,1/0")
+        assert exc.value.position == 3
 
     def test_domain_error_exit(self, capsys):
         code, _, _ = run(capsys, "expand", "--base", "0.5", "--x", "0.1")
@@ -471,12 +509,29 @@ for argv in ARGVS:
 """
 
 
-def _numpy_probe(argvs, tmp_path):
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's altbase."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# The child runs the CLI on its arguments and prints its own peak RSS, in KiB, to stderr.
+# It reads VmHWM, not ru_maxrss: Linux carries ru_maxrss over from the forking parent
+# through exec, so a child of a large test process would report that process's size.
+_RSS_PROBE = """
+import re, sys
+from altbase.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read())[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _numpy_probe(argvs, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", f"ARGVS = {argvs!r}\n" + _NUMPY_PROBE],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        cwd=tmp_path, env=_child_env(),
         capture_output=True, text=True, check=True,
     )
     return proc.stdout.splitlines()

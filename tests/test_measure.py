@@ -359,6 +359,34 @@ class TestFrequency:
         assert frequency(b, True) == frequency(b, np.int64(1)) == frequency(b, 1)
         assert frequency(b, np.uint8(0)) == frequency(b, False) == frequency(b, 0)
 
+    @pytest.mark.parametrize(
+        "text", ["(1+sqrt(13))/2,(5+sqrt(13))/6", "phi,phi,sqrt(5)", "phi*phi", "1.3,2.7,1.9,3.4,1.15"]
+    )
+    def test_equals_the_sum_over_all_slot_densities(self, text):
+        b = new_base(parse_base_list(text))
+        specs = slot_densities(b)
+        for d in range(max(b.alphabets) + 2):
+            masses = [
+                measure_interval(spec, d / beta, 1.0 if d == m else (d + 1) / beta)
+                for spec, beta, m in zip(specs, b.betas, b.alphabets)
+                if d <= m
+            ]
+            assert frequency(b, d) == sum(masses) / b.p
+
+    def test_builds_only_the_slots_where_the_digit_occurs(self, monkeypatch):
+        # alphabets 1, 1, 2: digit 2 occurs only at slot 2
+        b = new_base((PHI, PHI, math.sqrt(5)))
+        expected = measure_interval(slot_densities(b)[2], 2 / b.betas[2], 1.0) / 3
+        built = []
+
+        def counted(map_, *args):
+            built.append(map_)
+            return gora_density(map_, *args)
+
+        monkeypatch.setattr(measure, "gora_density", counted)
+        assert frequency(b, 2) == expected
+        assert len(built) == 1
+
 
 class TestEntropyAndProduct:
     def test_entropy_values(self):
