@@ -50,11 +50,19 @@ ERRORS = (
     ("compare", "--base", "1000000.5,1000000.5"),  # 5: enumeration too large
 )
 
+# measure at the interval edges: an empty interval, all of [0, 1), and an end at 1
+EDGE_INTERVALS = ("0.5,0.5", "0,1", "0.25,1")
+
 
 def argvs() -> list[list[str]]:
     runs = [[form[0], "--base", base, *form[1:], "--json"] for base in BASES for form in FORMS]
     text = [[form[0], "--base", BASES[0], *form[1:]] for form in FORMS]
-    return runs + [list(argv) for argv in ERRORS] + text
+    edges = [
+        ["measure", "--base", base, "--interval", iv, "--json"]
+        for base in (BASES[0], BASES[3])
+        for iv in EDGE_INTERVALS
+    ]
+    return runs + [list(argv) for argv in ERRORS] + text + edges
 
 
 def run_cli(argv: list[str], workdir: str) -> dict:
