@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, islice
 
 from . import core, digitset, measure, oracle
 from .core import EPS_SNAP, AlternateBase, StatePoint, check_size
@@ -35,6 +35,8 @@ from .expr import _parse_list, parse_base_list, parse_expression
 
 SCHEMA_VERSION = "1"
 SAMPLES_PER_UNIT = 2048
+# JSON pieces written at a time: about 4,000 trajectory entries, 0.25 MB
+_JSON_BATCH = 4096
 # what a command returns: the base, the JSON payload and the human-readable lines
 _Output = tuple[AlternateBase, dict, Iterable[str]]
 
@@ -64,8 +66,32 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _to_json(value) -> str:
-    """Minimal deterministic JSON emitter; reals carry 17 significant digits."""
+def _to_json(value) -> Iterator[str]:
+    """Minimal deterministic JSON emitter, in pieces; reals carry 17 significant digits.
+
+    A dict yields a piece per key and an iterator a piece per element, so
+    an iterator in the document (the orbit trajectory) runs while it is
+    written; any other value is one piece.
+    """
+    if isinstance(value, dict):
+        sep = "{"
+        for k, v in value.items():
+            yield sep + _json_text(str(k)) + ":"
+            yield from _to_json(v)
+            sep = ","
+        yield "}" if sep == "," else "{}"
+    elif isinstance(value, Iterator):
+        sep = "["
+        for v in value:
+            yield sep + _json_text(v)
+            sep = ","
+        yield "]" if sep == "," else "[]"
+    else:
+        yield _json_text(value)
+
+
+def _json_text(value) -> str:
+    """The JSON text of one value, whole."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -79,9 +105,9 @@ def _to_json(value) -> str:
     if isinstance(value, str):
         return '"' + value.translate(_JSON_ESCAPES) + '"'
     if isinstance(value, (list, tuple, Iterator)):
-        return "[" + ",".join(_to_json(v) for v in value) + "]"
+        return "[" + ",".join(_json_text(v) for v in value) + "]"
     if isinstance(value, dict):
-        return "{" + ",".join(f"{_to_json(str(k))}:{_to_json(v)}" for k, v in value.items()) + "}"
+        return "{" + ",".join(f"{_json_text(str(k))}:{_json_text(v)}" for k, v in value.items()) + "}"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -367,9 +393,12 @@ def main(argv: list[str] | None = None) -> int:
                 "base": list(base.betas),
                 "payload": payload,
             }
-            lines = [_to_json(doc)]
-        for line in lines:
-            print(line)
+            pieces = chain(_to_json(doc), ["\n"])
+            while batch := "".join(islice(pieces, _JSON_BATCH)):
+                sys.stdout.write(batch)
+        else:
+            for line in lines:
+                print(line)
     except AltBaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]

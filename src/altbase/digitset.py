@@ -16,7 +16,7 @@ import math
 from operator import lt
 from typing import Sequence
 
-from .core import EPS_SNAP, AlternateBase, _greedy_run, _Record, check_enumeration_bound
+from .core import EPS_SNAP, AlternateBase, _greedy_loop, _Record, check_enumeration_bound
 from .errors import AlphabetError, DomainError, NotAllowable
 
 # collisions of distinct digit blocks are exact in theory but inexact in
@@ -226,6 +226,9 @@ def compare_transforms(base: AlternateBase) -> DisagreementReport:
     cuts.update(v / B for v in _suffix_min_values(block_values))
     grid = sorted(c for c in cuts if -EPS_SNAP <= c < xb - MIN_CELL)
     grid.append(xb)
+    # one greedy period from slot 0; every midpoint lies in [0, xb], so no clamp is needed
+    xm = base.xmax
+    period = list(zip(base.betas, base.alphabets, xm[1:] + xm[:1]))
 
     intervals: list[list[float]] = []
     witnesses: list[Witness] = []
@@ -234,7 +237,7 @@ def compare_transforms(base: AlternateBase) -> DisagreementReport:
             continue
         mid = 0.5 * (lo + hi)
         delta_img, _ = _greedy_delta_step(ds, mid)
-        _, comp_img = _greedy_run(base, mid, base.p)  # one greedy period from slot 0
+        _, comp_img = _greedy_loop(period, mid)
         if abs(delta_img - comp_img) <= AGREE_TOL * max(1.0, B):
             continue
         if intervals and abs(intervals[-1][1] - lo) <= MIN_CELL:

@@ -294,26 +294,43 @@ def density_eval(spec: DensitySpec, x: float) -> float:
     return total / spec.C
 
 
-def measure_interval(spec: DensitySpec, a: float, b: float) -> float:
-    """Exact integral of the density over [a, b)."""
+def _check_interval(a: float, b: float) -> None:
+    """Raise DomainError unless 0 <= a <= b <= 1 (NaN fails)."""
     if not (0.0 <= a <= b <= 1.0):
         raise DomainError(f"bad interval [{a!r}, {b!r})")
+
+
+def measure_interval(spec: DensitySpec, a: float, b: float) -> float:
+    """Exact integral of the density over [a, b).
+
+    A threshold t above a adds w * (min(t, b) - a): the thresholds below b
+    add w * (t - a) and the rest w * (b - a), summed left to right.
+    """
+    _check_interval(a, b)
+    ts, ws = spec.thresholds, spec.weights
     total = spec.d[0] * (b - a)
-    k = bisect_right(spec.thresholds, a)
-    for t, w in zip(spec.thresholds[k:], spec.weights[k:]):
-        total += w * (min(t, b) - a)
+    k = bisect_right(ts, a)
+    j = bisect_left(ts, b, k)
+    for t, w in zip(ts[k:j], ws[k:j]):
+        total += w * (t - a)
+    width = b - a
+    for w in ws[j:]:
+        total += w * width
     return total / spec.C
 
 
 def preimage(map_: PiecewiseLinearMap, a: float, b: float) -> list[tuple[float, float]]:
     """Disjoint ascending intervals mapped into [a, b) by the map."""
-    if not (0.0 <= a <= b <= 1.0):
-        raise DomainError(f"bad interval [{a!r}, {b!r})")
+    _check_interval(a, b)
+    e = map_.endpoints
+    da = a / map_.slope
+    db = b / map_.slope
     out = []
-    s = map_.slope
-    for k in range(map_.branch_count):
-        lo = map_.endpoints[k] + a / s
-        hi = min(map_.endpoints[k] + b / s, map_.endpoints[k + 1])
+    for lo, top in zip(e, e[1:]):
+        hi = lo + db
+        if top < hi:
+            hi = top
+        lo += da
         if hi > lo:
             out.append((lo, hi))
     return out
@@ -369,6 +386,10 @@ def mu_product(base: AlternateBase, queries: list[IntervalMeasureQuery]) -> floa
         if q.slot in seen:
             raise DomainError(f"duplicate slot {q.slot} in query")
         seen.add(q.slot)
-    # only the queried slots' densities are built
-    masses = (measure_interval(gora_density(compose_map(base, q.slot)), q.a, q.b) for q in queries)
-    return sum(masses) / base.p
+        _check_interval(q.a, q.b)
+    # only the queried slots' densities are built; += because sum() of floats is
+    # compensated from Python 3.12 on
+    total = 0.0
+    for q in queries:
+        total += measure_interval(gora_density(compose_map(base, q.slot)), q.a, q.b)
+    return total / base.p

@@ -4,7 +4,10 @@ Each one is the straightforward scalar loop: exhaustive tuple enumeration
 for the pruned lexicographic searches, and one SplitMix64 draw per step for
 the dithered orbit statistics, and one masked numpy sum per entry of the
 density's correction matrix.  The sorted-key lookups of altbase.measure are
-given in their numpy.searchsorted form.  The endpoint orbits of the density
+given in their numpy.searchsorted form; measure_interval_reference and
+preimage_reference keep the per-threshold and per-branch min() of the
+query kernels, and compare_transforms_reference takes each cell's period
+through the clamped _greedy_run.  The endpoint orbits of the density
 take one _modified_step call (two snaps by snap_to_breakpoints_reference,
 three bisects) per point, and
 gora_density_reference builds the whole DensitySpec around them, with its
@@ -34,9 +37,19 @@ from numbers import Integral
 
 import numpy as np
 
-from altbase.core import EPS_SNAP, DigitWord, StatePoint, snap_ceil
+from altbase.core import EPS_SNAP, DigitWord, StatePoint, _greedy_run, snap_ceil
 from altbase.errors import AlphabetError, DomainError, SingularSystem, TruncationTooShallow
-from altbase.digitset import AGREE_TOL
+from altbase.digitset import (
+    AGREE_TOL,
+    MIN_CELL,
+    DisagreementReport,
+    Witness,
+    _all_block_values,
+    _greedy_delta_step,
+    _require_allowable,
+    _suffix_min_values,
+    delta_set,
+)
 from altbase.measure import (
     COND_MAX,
     EPS_GEO,
@@ -161,12 +174,32 @@ def density_eval_reference(spec, x):
     return total / spec.C
 
 
+def _check_interval_reference(a, b):
+    if not (0.0 <= a <= b <= 1.0):
+        raise DomainError(f"bad interval [{a!r}, {b!r})")
+
+
 def measure_interval_reference(spec, a, b):
+    """Each threshold above a adds w * (min(t, b) - a), left to right."""
+    _check_interval_reference(a, b)
     total = spec.d[0] * (b - a)
     k = int(np.searchsorted(spec.thresholds, a, side="right"))
     for t, w in zip(spec.thresholds[k:], spec.weights[k:]):
         total += w * (min(t, b) - a)
     return total / spec.C
+
+
+def preimage_reference(map_, a, b):
+    """Per branch k: [e_k + a/s, min(e_k + b/s, e_{k+1})), kept when nonempty."""
+    _check_interval_reference(a, b)
+    out = []
+    s = map_.slope
+    for k in range(map_.branch_count):
+        lo = map_.endpoints[k] + a / s
+        hi = min(map_.endpoints[k] + b / s, map_.endpoints[k + 1])
+        if hi > lo:
+            out.append((lo, hi))
+    return out
 
 
 def correction_matrix_reference(orbits, cs, B, M):
@@ -282,6 +315,40 @@ def composed_period_value_reference(base, x):
     for _ in range(base.p):
         s, _ = greedy_step_reference(base, s)
     return s.value
+
+
+def compare_transforms_reference(base):
+    """compare_transforms with one clamped _greedy_run period per cell midpoint."""
+    ds = delta_set(base)
+    _require_allowable(ds)
+    B = base.product
+    xb = base.xmax[0]
+    block_values = _all_block_values(base)
+    cuts = {0.0, xb}
+    cuts.update(d / B for d in ds.digits)
+    cuts.update(v / B for v in _suffix_min_values(block_values))
+    grid = sorted(c for c in cuts if -EPS_SNAP <= c < xb - MIN_CELL)
+    grid.append(xb)
+
+    intervals = []
+    witnesses = []
+    for lo, hi in zip(grid, grid[1:]):
+        if hi - lo < MIN_CELL:
+            continue
+        mid = 0.5 * (lo + hi)
+        delta_img, _ = _greedy_delta_step(ds, mid)
+        _, comp_img = _greedy_run(base, mid, base.p)
+        if abs(delta_img - comp_img) <= AGREE_TOL * max(1.0, B):
+            continue
+        if intervals and abs(intervals[-1][1] - lo) <= MIN_CELL:
+            intervals[-1][1] = hi
+        else:
+            intervals.append([lo, hi])
+            witnesses.append(Witness(mid, delta_img, comp_img))
+    return DisagreementReport(
+        tuple((lo, hi) for lo, hi in intervals),
+        tuple(witnesses),
+    )
 
 
 def _clamp_reference(base, s):

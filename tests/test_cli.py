@@ -163,11 +163,11 @@ class TestOrbitGraph:
         assert len(calls) == 1 + 50
 
     @pytest.mark.parametrize(
-        "flags, bound_mb", [((), 4), (("--csv", "o.csv"), 4), (("--json",), 25)], ids=["text", "csv", "json"]
+        "flags, bound_mb", [((), 4), (("--csv", "o.csv"), 4), (("--json",), 4)], ids=["text", "csv", "json"]
     )
     def test_orbit_memory_does_not_grow_with_steps(self, tmp_path, flags, bound_mb):
         # the peak RSS of a child process at 10^4 and at 10^5 steps; text and CSV rows
-        # stream, JSON holds only its output string, about 170 B a step
+        # and JSON pieces stream
         peaks = []
         for steps in (10**4, 10**5):
             argv = ["orbit", "--base", "2.5", "--x", "0.3", "--steps", str(steps), *flags]
@@ -210,6 +210,27 @@ class TestOrbitGraph:
         assert (code, out) == (3, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_orbit_json_bytes_across_batches(self, capsys):
+        # 10^4 entries span three written batches; the bytes are those of one joined document
+        argv = ["orbit", "--base", "2.5", "--x", "0.3", "--steps", "10000"]
+        _, text, _ = run(capsys, *argv)
+        _, out, _ = run(capsys, *argv, "--json")
+        entries = []
+        for line in text.splitlines():
+            k, rest = line.split(": slot ")
+            i, rest = rest.split(" x=")
+            x, d = rest.split(" digit ")
+            entries.append(f'{{"step":{k},"slot":{i},"x":{x},"digit":{d}}}')
+        head = '{"schema_version":"1","command":"orbit","base":[2.5],"payload":'
+        head += '{"mode":"greedy","x":0.29999999999999999,"steps":10000,"trajectory":['
+        assert out == head + ",".join(entries) + "]}}\n"
+
+    def test_orbit_json_start_outside_domain_prints_nothing(self, capsys):
+        # the JSON pieces stream, but the start is checked before the first one is written
+        code, out, err = run(capsys, "orbit", "--base", "2.5", "--x", "9", "--steps", "3", "--json")
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_graph_files(self, capsys, tmp_path):
         path = tmp_path / "graph.csv"
@@ -284,8 +305,8 @@ class TestDeterminismAndErrors:
         texts = [chr(c) for c in range(0x80)] + ["\u00e9", "\u2028", "\U0001f600"]
         texts.append("".join(texts))
         for text in texts:
-            assert cli._to_json(text) == _json_string_reference(text)
-            assert json.loads(cli._to_json(text)) == text
+            assert "".join(cli._to_json(text)) == _json_string_reference(text)
+            assert json.loads("".join(cli._to_json(text))) == text
 
     def test_byte_identical_json(self, capsys):
         argv = ["freq", "--base", BASE13, "--digit", "1", "--empirical", "5000",
