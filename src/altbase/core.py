@@ -458,8 +458,12 @@ def greedy_expand_cantor(seq: CantorBaseStream, x: float, n: int) -> DigitWord:
     """Greedy digits of x in an arbitrary base sequence, on the unit interval."""
     if not (0.0 <= x < 1.0):
         raise DomainError(f"greedy expansion over a base stream needs x in [0,1), got {x!r}")
-    bs = [seq.beta(k) for k in range(_digit_count(n))]
+    n = _digit_count(n)
+    if n:
+        seq.beta(n - 1)  # draws and checks entries 0 .. n-1 in order
+    bs = seq._prefix[:n]
+    alphabet = {b: snap_ceil(b) - 1 for b in set(bs)}
     # cap 1.0: a digit capped at the alphabet (beta a hair above an integer) leaves a
     # remainder above 1 that would otherwise grow by beta each step until it overflows
-    digits, _ = _greedy_loop(zip(bs, [snap_ceil(b) - 1 for b in bs], repeat(1.0)), x)
+    digits, _ = _greedy_loop(zip(bs, map(alphabet.__getitem__, bs), repeat(1.0)), x)
     return DigitWord(tuple(digits), 0)

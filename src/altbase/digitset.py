@@ -86,7 +86,12 @@ def _all_block_values(base: AlternateBase) -> list[float]:
 
 def delta_set(base: AlternateBase) -> DigitSet:
     """The sorted, deduplicated set of digit-block weights, over the product base."""
-    vals = sorted(_all_block_values(base))
+    return _digit_set(base, _all_block_values(base))
+
+
+def _digit_set(base: AlternateBase, block_values: list[float]) -> DigitSet:
+    """delta_set from the block values already enumerated."""
+    vals = sorted(block_values)
     tol = DEDUP_REL * max(1.0, vals[-1])
     merged = [0.0]
     for v in vals[1:]:
@@ -123,11 +128,6 @@ def _require_allowable(ds: DigitSet) -> None:
 def greedy_delta_step(ds: DigitSet, x: float) -> tuple[float, float]:
     """Greedy step over a digit set: subtract the largest digit below beta*x."""
     _require_allowable(ds)
-    return _greedy_delta_step(ds, x)
-
-
-def _greedy_delta_step(ds: DigitSet, x: float) -> tuple[float, float]:
-    """The greedy step for a digit set already known to be allowable."""
     x = _check_delta_domain(ds, x, open_left=False)
     y = ds.beta * x
     k = bisect.bisect_right(ds.digits, y + EPS_SNAP) - 1
@@ -216,19 +216,24 @@ def compare_transforms(base: AlternateBase) -> DisagreementReport:
     one midpoint per cell.  Disagreeing cells are coalesced into maximal
     intervals; slivers below 1e-12 are numerical artifacts and dropped.
     """
-    ds = delta_set(base)
+    block_values = _all_block_values(base)
+    ds = _digit_set(base, block_values)
     _require_allowable(ds)
     B = base.product
     xb = base.xmax[0]
-    block_values = _all_block_values(base)
     cuts = {0.0, xb}
     cuts.update(d / B for d in ds.digits)
     cuts.update(v / B for v in _suffix_min_values(block_values))
     grid = sorted(c for c in cuts if -EPS_SNAP <= c < xb - MIN_CELL)
     grid.append(xb)
-    # one greedy period from slot 0; every midpoint lies in [0, xb], so no clamp is needed
+    # one greedy period from slot 0, and the blocked greedy step inline: every midpoint
+    # lies in [0, xb] within [0, xsup], so neither is clamped, and as the midpoints
+    # ascend the index of the largest digit <= B*mid + EPS_SNAP only moves forward
     xm = base.xmax
     period = list(zip(base.betas, base.alphabets, xm[1:] + xm[:1]))
+    digits = ds.digits + (math.inf,)
+    k = 0
+    tol = AGREE_TOL * max(1.0, B)
 
     intervals: list[list[float]] = []
     witnesses: list[Witness] = []
@@ -236,9 +241,15 @@ def compare_transforms(base: AlternateBase) -> DisagreementReport:
         if hi - lo < MIN_CELL:
             continue
         mid = 0.5 * (lo + hi)
-        delta_img, _ = _greedy_delta_step(ds, mid)
+        y = B * mid
+        v = y + EPS_SNAP
+        while digits[k + 1] <= v:
+            k += 1
+        delta_img = y - digits[k]
+        if delta_img < 0.0:
+            delta_img = 0.0  # the snapped digit may exceed y by a hair more than EPS_SNAP
         _, comp_img = _greedy_loop(period, mid)
-        if abs(delta_img - comp_img) <= AGREE_TOL * max(1.0, B):
+        if abs(delta_img - comp_img) <= tol:
             continue
         if intervals and abs(intervals[-1][1] - lo) <= MIN_CELL:
             intervals[-1][1] = hi

@@ -6,7 +6,8 @@ the dithered orbit statistics, and one masked numpy sum per entry of the
 density's correction matrix.  The sorted-key lookups of altbase.measure are
 given in their numpy.searchsorted form; measure_interval_reference and
 preimage_reference keep the per-threshold and per-branch min() of the
-query kernels, and compare_transforms_reference takes each cell's period
+query kernels, and compare_transforms_reference takes each cell's blocked
+image from the clamped per-point greedy_delta_step_reference and its period
 through the clamped _greedy_run.  The endpoint orbits of the density
 take one _modified_step call (two snaps by snap_to_breakpoints_reference,
 three bisects) per point, and
@@ -30,7 +31,7 @@ its slot.
 import math
 import operator
 import struct
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from numbers import Integral
@@ -45,7 +46,6 @@ from altbase.digitset import (
     DisagreementReport,
     Witness,
     _all_block_values,
-    _greedy_delta_step,
     _require_allowable,
     _suffix_min_values,
     delta_set,
@@ -317,26 +317,43 @@ def composed_period_value_reference(base, x):
     return s.value
 
 
+def greedy_delta_step_reference(ds, x):
+    """The greedy step over a digit set, its start clamped into [0, xsup] and checked."""
+    hi = ds.xsup
+    if not (-EPS_SNAP <= x <= hi + EPS_SNAP):
+        raise DomainError(f"{x!r} outside the expansion domain [0, {hi!r})")
+    y = ds.beta * min(max(x, 0.0), hi)
+    k = bisect_right(ds.digits, y + EPS_SNAP) - 1
+    d = ds.digits[max(k, 0)]
+    r = y - d
+    if r < 0.0:
+        r = 0.0
+    return r, d
+
+
+def compare_transforms_cells_reference(base, ds):
+    """The (lo, hi, midpoint) cells of compare_transforms' merged breakpoint grid."""
+    B = base.product
+    xb = base.xmax[0]
+    cuts = {0.0, xb}
+    cuts.update(d / B for d in ds.digits)
+    cuts.update(v / B for v in _suffix_min_values(_all_block_values(base)))
+    grid = sorted(c for c in cuts if -EPS_SNAP <= c < xb - MIN_CELL)
+    grid.append(xb)
+    return [(lo, hi, 0.5 * (lo + hi)) for lo, hi in zip(grid, grid[1:]) if hi - lo >= MIN_CELL]
+
+
 def compare_transforms_reference(base):
-    """compare_transforms with one clamped _greedy_run period per cell midpoint."""
+    """compare_transforms with one clamped greedy_delta_step_reference and one clamped
+    _greedy_run period per cell midpoint."""
     ds = delta_set(base)
     _require_allowable(ds)
     B = base.product
-    xb = base.xmax[0]
-    block_values = _all_block_values(base)
-    cuts = {0.0, xb}
-    cuts.update(d / B for d in ds.digits)
-    cuts.update(v / B for v in _suffix_min_values(block_values))
-    grid = sorted(c for c in cuts if -EPS_SNAP <= c < xb - MIN_CELL)
-    grid.append(xb)
 
     intervals = []
     witnesses = []
-    for lo, hi in zip(grid, grid[1:]):
-        if hi - lo < MIN_CELL:
-            continue
-        mid = 0.5 * (lo + hi)
-        delta_img, _ = _greedy_delta_step(ds, mid)
+    for lo, hi, mid in compare_transforms_cells_reference(base, ds):
+        delta_img, _ = greedy_delta_step_reference(ds, mid)
         _, comp_img = _greedy_run(base, mid, base.p)
         if abs(delta_img - comp_img) <= AGREE_TOL * max(1.0, B):
             continue

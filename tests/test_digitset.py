@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altbase.core import StatePoint, _greedy_run, greedy_step, lazy_step, new_base
+from altbase.core import EPS_SNAP, StatePoint, _greedy_run, greedy_step, lazy_step, new_base
 from altbase.digitset import (
+    MIN_CELL,
     DigitSet,
     compare_transforms,
     compare_transforms_lazy,
@@ -24,6 +25,7 @@ from altbase.oracle import SplitMix64
 from helpers import PHI, base13, random_base
 import reference
 from reference import (
+    compare_transforms_cells_reference,
     compare_transforms_reference,
     composed_period_value_reference,
     nondecreasing_by_criterion_reference,
@@ -265,7 +267,7 @@ class TestCompareTransforms:
 
     def test_not_allowable_set_rejected(self, monkeypatch):
         gappy = DigitSet((0.0, 1.0, 5.0), 3.0)
-        monkeypatch.setattr(digitset, "delta_set", lambda base: gappy)
+        monkeypatch.setattr(digitset, "_digit_set", lambda base, block_values: gappy)
         with pytest.raises(NotAllowable):
             compare_transforms(base_pps5())
 
@@ -350,8 +352,39 @@ def _period_bases():
     return named + [random_base(rng, pmin=1, pmax=5, lo=1.05, hi=3.0) for _ in range(30)]
 
 
+def _digit_at_scaled_midpoint(h, B):
+    """The digit e > h with B * mid + EPS_SNAP == e, mid the midpoint of the cell [h/B, e/B]."""
+    e = h + 2 * EPS_SNAP
+    for _ in range(100):
+        v = B * (0.5 * (h / B + e / B)) + EPS_SNAP
+        if v == e:
+            assert e / B - h / B >= MIN_CELL
+            return e
+        e = v
+    raise AssertionError(f"no such digit above {h!r} for B = {B!r}")
+
+
+# density_build's beta ranges (bench/workloads.py BETA_HI): uniform in [1.1, hi(p)]
+BUILD_BETA_HI = {1: 4.0, 2: 3.5, 3: 3.0, 4: 2.6, 5: 2.3, 6: 2.1, 7: 1.95, 8: 1.85}
+
+
+@pytest.fixture(scope="module")
+def report_bases():
+    """Criterion 9's three bases, the benchmark's period-5 and period-8 bases and
+    200 bases of periods 1-8 drawn as density_build draws them."""
+    rng = SplitMix64(39)
+    named = [base_pps5(), base_324(), base_567(), base13()]
+    named += [new_base((1.3, 2.7, 1.9, 3.4, 1.15)), new_base((1.3, 2.7, 1.9, 3.4, 1.15, 2.2, 1.7, 2.9))]
+    drawn = []
+    for k in range(200):
+        p = k % 8 + 1
+        drawn.append(new_base([rng.uniform(1.1, BUILD_BETA_HI[p]) for _ in range(p)]))
+    return named + drawn
+
+
 class TestPeriodValueMatchesStepReference:
-    """compare_transforms takes one greedy period from core's loop, bit for bit p greedy steps."""
+    """compare_transforms takes one greedy period from core's loop, bit for bit p greedy steps,
+    and its blocked step inline, bit for bit the clamped per-point step."""
 
     def test_period_remainder(self):
         rng = SplitMix64(38)
@@ -365,11 +398,42 @@ class TestPeriodValueMatchesStepReference:
                 got = _greedy_run(b, x, b.p)[1]
                 assert got.hex() == composed_period_value_reference(b, x).hex()
 
-    def test_reports(self, monkeypatch):
-        bases = _period_bases()
-        got = [_report_bits(compare_transforms(b)) for b in bases]
+    def test_reports(self, monkeypatch, report_bases):
+        got = [_report_bits(compare_transforms(b)) for b in report_bases]
+        got_lazy = [_report_bits(compare_transforms_lazy(b)) for b in report_bases]
         monkeypatch.setattr(
             reference, "_greedy_run", lambda b, x, n: (None, composed_period_value_reference(b, x))
         )
-        assert got == [_report_bits(compare_transforms_reference(b)) for b in bases]
-        assert any(rep[0] for rep in got)
+        assert got == [_report_bits(compare_transforms_reference(b)) for b in report_bases]
+        monkeypatch.setattr(digitset, "compare_transforms", compare_transforms_reference)
+        assert got_lazy == [_report_bits(compare_transforms_lazy(b)) for b in report_bases]
+        assert sum(bool(rep[0]) for rep in got) > 20
+        assert {b.p for b in report_bases} == set(range(1, 9))
+
+    def test_reports_with_snapped_digits(self, monkeypatch):
+        # Halfway between each two digits, a digit h and a digit e just above it with
+        # B * mid + EPS_SNAP == e exactly at the midpoint of the cell [h/B, e/B]: the snap
+        # and the tie both take e, the blocked image y - e < 0 is floored at 0, and the
+        # cell starts a disagreement, so its witness shows the floored image.
+        rng = SplitMix64(40)
+        bases = [new_base((rng.uniform(1.1, 1.8),)) for _ in range(20)] + [new_base((1.3, 1.2))]
+        got, want = [], []
+        for b, ds in [(b, delta_set(b)) for b in bases]:  # built before _digit_set is patched
+            extra = []
+            for a, c in zip(ds.digits, ds.digits[1:]):
+                h = 0.5 * (a + c)
+                extra += [h, _digit_at_scaled_midpoint(h, ds.beta)]
+            tied = DigitSet(tuple(sorted(ds.digits + tuple(extra))), ds.beta)
+            monkeypatch.setattr(digitset, "_digit_set", lambda base, values: tied)
+            monkeypatch.setattr(reference, "delta_set", lambda base: tied)
+            got.append(_report_bits(compare_transforms(b)))
+            want.append(_report_bits(compare_transforms_reference(b)))
+        assert got == want
+        assert all(any(w[1] == (0.0).hex() for w in rep[1]) for rep in got)
+
+    def test_midpoints_need_no_clamp(self, report_bases):
+        # compare_transforms takes the blocked step at each midpoint unclamped
+        for b in report_bases:
+            ds = delta_set(b)
+            for _, _, mid in compare_transforms_cells_reference(b, ds):
+                assert 0.0 <= mid <= ds.xsup, (b, mid)

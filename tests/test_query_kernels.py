@@ -3,7 +3,8 @@
 measure_interval and preimage sum and clip with the operations of
 reference.measure_interval_reference and reference.preimage_reference, and
 compare_transforms takes its period from core's loop as
-reference.compare_transforms_reference does through _greedy_run.  Floats
+reference.compare_transforms_reference does through _greedy_run, and its
+blocked step inline where the referee calls greedy_delta_step_reference.  Floats
 are compared by float.hex, or a list of them by the bytes of its
 array('d'); an error by its type and message.
 """
