@@ -111,12 +111,19 @@ def _json_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _write_csv(path: str, header: str, rows: Iterable[tuple]) -> Iterator[tuple]:
-    """Write the rows to a CSV file, yielding each one once it is written."""
+# each CSV's header and row template: "%.17g" % v is _fmt(v) for every float, "%d" % k is str(k)
+_CSV_DENSITY = ("x,density", "%.17g,%.17g\n")
+_CSV_ORBIT = ("step,slot,x,digit", "%d,%d,%.17g,%d\n")
+_CSV_GRAPH = ("x,y,branch_index,slot", "%.17g,%.17g,%d,%d\n")
+
+
+def _write_csv(path: str, schema: tuple[str, str], rows: Iterable[tuple]) -> Iterator[tuple]:
+    """Write the rows to a CSV file by the schema's template, yielding each one once written."""
+    header, template = schema
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]) + "\n")
+            fh.write(template % row)
             yield row
 
 
@@ -177,7 +184,8 @@ def cmd_density(args) -> _Output:
     if args.csv:
         check_size(max(2, args.samples) + 2 * len(spec.thresholds), "the CSV", "row ")
         pts = _sample_grid(0.0, 1.0, spec.thresholds, args.samples)
-        for _ in _write_csv(args.csv, "x,density", ((x, measure.density_eval(spec, x)) for x in pts)):
+        rows = ((x, measure.density_eval(spec, x)) for x in pts)
+        for _ in _write_csv(args.csv, _CSV_DENSITY, rows):
             pass
     payload = {
         "slot": args.slot,
@@ -276,7 +284,7 @@ def cmd_orbit(args) -> _Output:
             s = nxt
 
     # one pass: with --csv each row is written to the file as it is rendered
-    trajectory = _write_csv(args.csv, "step,slot,x,digit", rows()) if args.csv else rows()
+    trajectory = _write_csv(args.csv, _CSV_ORBIT, rows()) if args.csv else rows()
     payload = {
         "mode": args.mode,
         "x": x,
@@ -315,7 +323,7 @@ def cmd_graph(args) -> _Output:
     for kind in kinds:
         stem, ext = os.path.splitext(args.csv)
         path = f"{stem}_{kind}{ext or '.csv'}" if args.mode == "both" else args.csv
-        for _ in _write_csv(path, "x,y,branch_index,slot", _graph_rows(base, kind, args.samples)):
+        for _ in _write_csv(path, _CSV_GRAPH, _graph_rows(base, kind, args.samples)):
             pass
         written.append(path)
     lines = [f"graph samples written to {p}" for p in written]

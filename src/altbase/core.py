@@ -275,7 +275,8 @@ def lazy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
     if x <= hi - 1.0 + EPS_SNAP:
         digit = 0
     else:
-        digit = snap_ceil(b * x - hi_next)
+        # snap_ceil(b * x - hi_next) without the call, the same floats in the same order
+        digit = math.ceil(b * x - hi_next - EPS_SNAP)
         if digit < 0:
             digit = 0
         elif digit > m:
@@ -354,7 +355,8 @@ def lazy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
     """First n digits of the lazy expansion of x, starting at slot 0.
 
     The loop of greedy_expand for lazy_step's rule; the per-slot tuple adds
-    the digit-0 threshold xmax - 1 + EPS_SNAP.
+    the digit-0 threshold xmax - 1 + EPS_SNAP.  The digit is snap_ceil written
+    out, as lazy_step writes it.
     """
     if not x > 0.0:
         raise DomainError(f"lazy expansion needs 0 < x <= xmax, got {x!r}")
@@ -363,12 +365,13 @@ def lazy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
     if n:
         x = _clamp(base, 0, x)
         xm = base.xmax
-        slots = zip(base.betas, base.alphabets, xm[1:] + xm[:1], [h - 1.0 + EPS_SNAP for h in xm])
+        ceil, eps = math.ceil, EPS_SNAP
+        slots = zip(base.betas, base.alphabets, xm[1:] + xm[:1], [h - 1.0 + eps for h in xm])
         for beta, m, hi, small in islice(cycle(slots), n):
             if x <= small:
                 d = 0
             else:
-                d = snap_ceil(beta * x - hi)
+                d = ceil(beta * x - hi - eps)
                 if d < 0:
                     d = 0
                 elif d > m:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -285,6 +286,39 @@ class TestGraphRows:
         m = base.alphabets[0]
         for kind in ("greedy", "lazy"):
             assert sum(1 for _ in cli._graph_rows(base, kind, 1)) == 4 * m + 2
+
+
+def _csv_row_reference(row):
+    """A CSV line one value at a time: 17 significant digits for a float, str for the rest."""
+    return ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) + "\n"
+
+
+def _special_doubles():
+    """Random bit patterns, ±0, subnormals, integral floats and the extremes of the doubles."""
+    rng = SplitMix64(19)
+    values = [struct.unpack("<d", struct.pack("<Q", rng.next_u64()))[0] for _ in range(3000)]
+    values += [0.0, -0.0, -5e-324, sys.float_info.min, sys.float_info.max]
+    values += [float(k) for k in (1, -1, 2, 3, 10, 2**52, 2**53 + 2, -(2**60), 10**17, 10**22)]
+    values += [math.ldexp(float(k), -1074) for k in (1, 3, 2**51, 2**52 - 1)]
+    return values
+
+
+class TestCsvTemplates:
+    """Each CSV schema's row template writes what the per-value rule wrote."""
+
+    @pytest.mark.parametrize("schema", [cli._CSV_DENSITY, cli._CSV_ORBIT, cli._CSV_GRAPH])
+    def test_template_matches_per_value_rule(self, schema):
+        header, template = schema
+        fields = template.rstrip("\n").split(",")
+        assert len(fields) == len(header.split(",")) and set(fields) <= {"%.17g", "%d"}
+        doubles = _special_doubles()
+        ints = [0, 1, 7, 2**31, 10**7, -3]
+        for k in range(len(doubles)):
+            row = tuple(
+                doubles[(k + 7 * j) % len(doubles)] if f == "%.17g" else ints[(k + j) % len(ints)]
+                for j, f in enumerate(fields)
+            )
+            assert template % row == _csv_row_reference(row)
 
 
 def _json_string_reference(text):

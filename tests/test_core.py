@@ -316,17 +316,39 @@ REFERENCE_BASES.update(
 )
 
 
+def _lazy_snap_points(beta, hi_next, m):
+    """Points x where beta*x - hi_next lies within EPS_SNAP above a digit k = 0..m.
+
+    Per k: the offsets 0.25, 0.5 and 0.75 EPS_SNAP, and the points within 16 ulps of
+    k + EPS_SNAP where beta*x - hi_next - EPS_SNAP rounds to the integer k itself.
+    """
+    pts = []
+    for k in range(m + 1):
+        pts += [(k + hi_next + t * core.EPS_SNAP) / beta for t in (0.25, 0.5, 0.75)]
+        x = (k + hi_next + core.EPS_SNAP) / beta
+        for _ in range(16):
+            x = math.nextafter(x, -math.inf)
+        for _ in range(33):
+            if beta * x - hi_next - core.EPS_SNAP == k:
+                pts.append(x)
+            x = math.nextafter(x, math.inf)
+    return pts
+
+
 def _probe_points(b, i):
     """Greedy and lazy cuts of slot i, 1, xmax-1 and xmax, each exact, one ulp and
-    1e-13 either side, plus the extension, EPS_SNAP-near misses, NaN and inf."""
+    1e-13 either side, plus the extension, EPS_SNAP-near misses, NaN and inf; the
+    lazy digit-0 threshold xmax - 1 + EPS_SNAP and one ulp either side; and the
+    points where the lazy digit's argument sits within EPS_SNAP above an integer."""
     beta, m, hi = b.betas[i], b.alphabets[i], b.xmax[i]
     hi_next = b.xmax[(i + 1) % b.p]
     cuts = [k / beta for k in range(m + 1)] + [(k + hi_next) / beta for k in range(m + 1)]
-    cuts += [1.0, hi - 1.0, hi]
+    cuts += [1.0, hi - 1.0, hi, hi - 1.0 + core.EPS_SNAP]
     pts = []
     for c in cuts:
         pts += [c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf), c - 1e-13, c + 1e-13]
     pts += [0.5 * (1.0 + hi), -0.5e-12, hi + 0.5e-12, -2e-12, hi + 2e-12]
+    pts += _lazy_snap_points(beta, hi_next, m)
     pts += [math.nan, math.inf, -math.inf]
     return pts
 

@@ -740,10 +740,23 @@ KNOWN_GAP = pytest.mark.xfail(
 )
 
 
+# The near-integer FOUND in CHANGES.md: gora_density snaps the cut 1.0 onto a breakpoint
+# within EPS_GEO below it (0.99999999995 on 2+1e-10), and the cut's orbit sticks there,
+# while the orbit of 1 grows from about 1e-10.  On the 3,000-point grid the worst relative
+# gaps are 4.8e-7 on 2+1e-10 and 0.17 on slot 0 of 2.000000001,1.5.  A strict xfail until
+# item 1 Stage B or a snap fix.
+NEAR_INTEGER_GAP = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="gora_density's orbit sticks at a snapped cut"
+)
+
+
 def _orbit_of_one_bases():
-    """The named bases but 3+1.5e-12 (pinned on its own below) and 40 seeded random bases."""
+    """The named bases but 3+1.5e-12 (pinned on its own below), two bases within 1e-9 of
+    an integer (strict xfails) and 40 seeded random bases."""
     named = [text for text in NAMED_BASES if text not in ("2", "3+1.5e-12")]
     bases = [pytest.param(new_base(parse_base_list(text)), id=text) for text in named]
+    for text in ("2+1e-10", "2.000000001,1.5"):
+        bases.append(pytest.param(new_base(parse_base_list(text)), id=text, marks=NEAR_INTEGER_GAP))
     rng = SplitMix64(44)
     for k in range(40):
         p = 1 + k % 8
