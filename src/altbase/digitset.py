@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from operator import lt
+from numbers import Integral
+from operator import lt, sub
 from typing import Sequence
 
 from .core import EPS_SNAP, AlternateBase, _greedy_loop, _Record, check_enumeration_bound
@@ -26,6 +27,13 @@ AGREE_TOL = 1e-9
 MIN_CELL = 1e-12
 # a largest gap equal to top/(beta-1) in exact arithmetic may exceed it by rounding
 GAP_SLACK = 1e-12
+# compare_transforms decides a cell from its greedy cylinder only if the cell is wider
+# than this (times the largest xmax, at least 1), so that no snap, cap or rounding of a
+# period step can act at its midpoint, and if the cylinder-to-digit gap lies farther than
+# this margin (times max(1, B) and that xmax) from the tolerance, beyond any rounding of
+# the two images; either bound only picks the path, never the result
+WALK_MIN_WIDTH = 1e-9
+WALK_MARGIN = 1e-12
 
 
 class DigitSet(_Record):
@@ -61,6 +69,8 @@ def f_beta(base: AlternateBase, digits: Sequence[int]) -> float:
     weight = 1.0
     for i in range(p - 1, -1, -1):
         c = digits[i]
+        if not isinstance(c, Integral):
+            raise AlphabetError(f"digit {c!r} at slot {i} is not an integer")
         if not (0 <= c <= base.alphabets[i]):
             raise AlphabetError(f"digit {c} at slot {i} exceeds bound {base.alphabets[i]}")
         total += c * weight
@@ -71,16 +81,15 @@ def f_beta(base: AlternateBase, digits: Sequence[int]) -> float:
 def _all_block_values(base: AlternateBase) -> list[float]:
     """f-values of every digit block, in lexicographic block order."""
     check_enumeration_bound(base, base.p, "digit-block enumeration")
-    p = base.p
-    suffix_weight = [1.0] * (p + 1)
-    for i in range(p - 1, -1, -1):
-        suffix_weight[i] = suffix_weight[i + 1] * base.betas[i]
-    # weight of slot i is the product of bases i+1 .. p-1
-    weights = [suffix_weight[i + 1] for i in range(p)]
+    # slot i steps by c * (product of bases i+1 .. p-1); each slot's table is built once
+    steps = []
+    w = 1.0
+    for beta, m in zip(reversed(base.betas), reversed(base.alphabets)):
+        steps.append([c * w for c in range(m + 1)])
+        w *= beta
     values = [0.0]
-    for i in range(p):
-        w = weights[i]
-        values = [v + c * w for v in values for c in range(base.alphabets[i] + 1)]
+    for table in reversed(steps):
+        values = [v + s for v in values for s in table]
     return values
 
 
@@ -93,6 +102,8 @@ def _digit_set(base: AlternateBase, block_values: list[float]) -> DigitSet:
     """delta_set from the block values already enumerated."""
     vals = sorted(block_values)
     tol = DEDUP_REL * max(1.0, vals[-1])
+    if min(map(sub, vals[1:], vals)) > tol:
+        return DigitSet(tuple(vals), base.product)
     merged = [0.0]
     for v in vals[1:]:
         if v - merged[-1] > tol:
@@ -215,25 +226,37 @@ def compare_transforms(base: AlternateBase) -> DisagreementReport:
     enough to merge the two exact breakpoint grids and compare the maps at
     one midpoint per cell.  Disagreeing cells are coalesced into maximal
     intervals; slivers below 1e-12 are numerical artifacts and dropped.
+
+    One greedy period subtracts the lexicographically greatest block of
+    value at most B*x, that is the largest cylinder start (suffix-minimal
+    block value) v at most B*x, and the blocked map the largest digit d, so
+    a cell agrees iff |v - d| <= AGREE_TOL*max(1, B).  The images are
+    computed only for witnesses and where WALK_MIN_WIDTH or WALK_MARGIN
+    leaves the computed decision in doubt.
     """
     block_values = _all_block_values(base)
     ds = _digit_set(base, block_values)
     _require_allowable(ds)
     B = base.product
     xb = base.xmax[0]
+    starts = _suffix_min_values(block_values)
     cuts = {0.0, xb}
     cuts.update(d / B for d in ds.digits)
-    cuts.update(v / B for v in _suffix_min_values(block_values))
+    cuts.update(v / B for v in starts)
     grid = sorted(c for c in cuts if -EPS_SNAP <= c < xb - MIN_CELL)
     grid.append(xb)
-    # one greedy period from slot 0, and the blocked greedy step inline: every midpoint
-    # lies in [0, xb] within [0, xsup], so neither is clamped, and as the midpoints
-    # ascend the index of the largest digit <= B*mid + EPS_SNAP only moves forward
+    # every midpoint lies in [0, xb] within [0, xsup], so neither step clamps it, and as the
+    # midpoints ascend the indices of the largest digit <= B*mid + EPS_SNAP and of the
+    # largest cylinder start <= B*mid (starts[0] is the zero block) only move forward
     xm = base.xmax
     period = list(zip(base.betas, base.alphabets, xm[1:] + xm[:1]))
     digits = ds.digits + (math.inf,)
-    k = 0
+    starts.append(math.inf)
+    k = j = 0
     tol = AGREE_TOL * max(1.0, B)
+    scale = max(1.0, max(xm))
+    wide = WALK_MIN_WIDTH * scale
+    margin = WALK_MARGIN * max(1.0, B) * scale
 
     intervals: list[list[float]] = []
     witnesses: list[Witness] = []
@@ -245,6 +268,15 @@ def compare_transforms(base: AlternateBase) -> DisagreementReport:
         v = y + EPS_SNAP
         while digits[k + 1] <= v:
             k += 1
+        while starts[j + 1] <= y:
+            j += 1
+        gap = abs(starts[j] - digits[k])
+        if hi - lo > wide and abs(gap - tol) > margin:  # the walk is sure of the decision
+            if gap <= tol:
+                continue
+            if intervals and abs(intervals[-1][1] - lo) <= MIN_CELL:
+                intervals[-1][1] = hi
+                continue
         delta_img = y - digits[k]
         if delta_img < 0.0:
             delta_img = 0.0  # the snapped digit may exceed y by a hair more than EPS_SNAP

@@ -8,9 +8,11 @@ given in their numpy.searchsorted form; measure_interval_reference and
 preimage_reference keep the per-threshold and per-branch min() of the
 query kernels, and compare_transforms_reference takes each cell's blocked
 image from the clamped per-point greedy_delta_step_reference and its period
-through the clamped _greedy_run.  The endpoint orbits of the density
-take one _modified_step call (two snaps by snap_to_breakpoints_reference,
-three bisects) per point, and
+through the clamped _greedy_run, over a digit set and cylinder starts
+built from the per-block enumeration block_values_reference, the plain
+dedup loop digit_set_reference and suffix_min_reference.  The endpoint
+orbits of the density take one _modified_step call (two snaps by
+snap_to_breakpoints_reference, three bisects) per point, and
 gora_density_reference builds the whole DensitySpec around them, with its
 normalisation indexed per entry.  The greedy and lazy steps are the
 one-call-per-digit versions (a StatePoint per step, every state clamped and
@@ -38,17 +40,23 @@ from numbers import Integral
 
 import numpy as np
 
-from altbase.core import EPS_SNAP, DigitWord, StatePoint, _greedy_run, snap_ceil
+from altbase.core import (
+    EPS_SNAP,
+    DigitWord,
+    StatePoint,
+    _greedy_run,
+    check_enumeration_bound,
+    snap_ceil,
+)
 from altbase.errors import AlphabetError, DomainError, SingularSystem, TruncationTooShallow
 from altbase.digitset import (
     AGREE_TOL,
+    DEDUP_REL,
     MIN_CELL,
+    DigitSet,
     DisagreementReport,
     Witness,
-    _all_block_values,
     _require_allowable,
-    _suffix_min_values,
-    delta_set,
 )
 from altbase.measure import (
     COND_MAX,
@@ -331,13 +339,44 @@ def greedy_delta_step_reference(ds, x):
     return r, d
 
 
+def block_values_reference(base):
+    """The value of every digit block in lexicographic order, each one v + c * w."""
+    check_enumeration_bound(base, base.p, "digit-block enumeration")
+    p = base.p
+    suffix_weight = [1.0] * (p + 1)
+    for i in range(p - 1, -1, -1):
+        suffix_weight[i] = suffix_weight[i + 1] * base.betas[i]
+    values = [0.0]
+    for i in range(p):
+        w = suffix_weight[i + 1]
+        values = [v + c * w for v in values for c in range(base.alphabets[i] + 1)]
+    return values
+
+
+def digit_set_reference(base):
+    """delta_set by one dedup pass over the sorted block values."""
+    vals = sorted(block_values_reference(base))
+    tol = DEDUP_REL * max(1.0, vals[-1])
+    merged = [0.0]
+    for v in vals[1:]:
+        if v - merged[-1] > tol:
+            merged.append(v)
+    return DigitSet(tuple(merged), base.product)
+
+
+def suffix_min_reference(values):
+    """The values strictly below the minimum of all lexicographically later values."""
+    later = list(accumulate(reversed(values), min, initial=math.inf))[::-1]
+    return [v for v, m in zip(values, later[1:]) if v < m]
+
+
 def compare_transforms_cells_reference(base, ds):
     """The (lo, hi, midpoint) cells of compare_transforms' merged breakpoint grid."""
     B = base.product
     xb = base.xmax[0]
     cuts = {0.0, xb}
     cuts.update(d / B for d in ds.digits)
-    cuts.update(v / B for v in _suffix_min_values(_all_block_values(base)))
+    cuts.update(v / B for v in suffix_min_reference(block_values_reference(base)))
     grid = sorted(c for c in cuts if -EPS_SNAP <= c < xb - MIN_CELL)
     grid.append(xb)
     return [(lo, hi, 0.5 * (lo + hi)) for lo, hi in zip(grid, grid[1:]) if hi - lo >= MIN_CELL]
@@ -346,7 +385,7 @@ def compare_transforms_cells_reference(base, ds):
 def compare_transforms_reference(base):
     """compare_transforms with one clamped greedy_delta_step_reference and one clamped
     _greedy_run period per cell midpoint."""
-    ds = delta_set(base)
+    ds = digit_set_reference(base)
     _require_allowable(ds)
     B = base.product
 

@@ -1,12 +1,17 @@
 import math
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altbase.core import EPS_SNAP, StatePoint, _greedy_run, greedy_step, lazy_step, new_base
 from altbase.digitset import (
+    AGREE_TOL,
     MIN_CELL,
+    WALK_MARGIN,
+    WALK_MIN_WIDTH,
     DigitSet,
     compare_transforms,
     compare_transforms_lazy,
@@ -22,13 +27,16 @@ from altbase.digitset import (
 from altbase import digitset
 from altbase.errors import AlphabetError, DomainError, NotAllowable, SearchTooLarge
 from altbase.oracle import SplitMix64
-from helpers import PHI, base13, random_base
+from helpers import BASE13_BETAS, PHI, base13, random_base
 import reference
 from reference import (
+    block_values_reference,
     compare_transforms_cells_reference,
     compare_transforms_reference,
     composed_period_value_reference,
+    digit_set_reference,
     nondecreasing_by_criterion_reference,
+    suffix_min_reference,
 )
 
 R5 = math.sqrt(5)
@@ -67,6 +75,18 @@ class TestFBeta:
             f_beta(base_pps5(), (0, 1))
         with pytest.raises(AlphabetError):
             f_beta(base_pps5(), (2, 0, 0))
+
+    @pytest.mark.parametrize("digits", [[1.5, 0.5], [1.0, 0], [0, 0.0], [1, "1"]])
+    def test_rejects_non_integer_digits(self, digits):
+        # 1.5 and 0.5 lie within the alphabets 2 and 1 and used to give 2.75
+        with pytest.raises(AlphabetError, match="not an integer"):
+            f_beta(new_base((2.5, 1.5)), digits)
+
+    def test_accepts_bool_and_numpy_integers(self):
+        b = new_base((2.5, 1.5))
+        want = f_beta(b, (1, 1))
+        assert f_beta(b, (True, True)) == want
+        assert f_beta(b, (np.int64(1), np.uint8(1))) == want
 
 
 class TestDeltaSet:
@@ -382,6 +402,28 @@ def report_bases():
     return named + drawn
 
 
+R2, R3 = math.sqrt(2), math.sqrt(3)
+# betas with exact block collisions, integers and quadratic irrationals, each one scaled
+# by one of SCALES
+NAMED_BETAS = (PHI, PHI * PHI, 2.0, 3.0, 4.0, 1 + R2, R3, R5, *BASE13_BETAS, 1.5, 2.5)
+SCALES = (1.0, 1 + 1e-12, 1 - 1e-12, 1 + 1e-9, 1 - 1e-9)
+NEAR_INTEGER_BETAS = ((2 + 1e-10,) * 3, (3 - 1e-10, 2 + 1e-10), (2 - 1e-10, 4 + 1e-10, 2 - 1e-10))
+
+
+@pytest.fixture(scope="module")
+def widened_bases():
+    """1.5,1.5,4; bases of periods 1-4 drawn from NAMED_BETAS times SCALES; bases of
+    periods 1-3 drawn from 2, 3 and 4 moved by 1e-10 either way; NEAR_INTEGER_BETAS."""
+    rng = SplitMix64(41)
+
+    def pick(seq):
+        return seq[rng.randint(0, len(seq) - 1)]
+
+    named = [[pick(NAMED_BETAS) * pick(SCALES) for _ in range(k % 4 + 1)] for k in range(240)]
+    near = [[pick((2, 3, 4)) + pick((-1e-10, 1e-10)) for _ in range(k % 3 + 1)] for k in range(90)]
+    return [base_324()] + [new_base(betas) for betas in named + near + list(NEAR_INTEGER_BETAS)]
+
+
 class TestPeriodValueMatchesStepReference:
     """compare_transforms takes one greedy period from core's loop, bit for bit p greedy steps,
     and its blocked step inline, bit for bit the clamped per-point step."""
@@ -410,6 +452,25 @@ class TestPeriodValueMatchesStepReference:
         assert sum(bool(rep[0]) for rep in got) > 20
         assert {b.p for b in report_bases} == set(range(1, 9))
 
+    def test_reports_on_widened_corpus(self, monkeypatch, widened_bases):
+        got = [_report_bits(compare_transforms(b)) for b in widened_bases]
+        got_lazy = [_report_bits(compare_transforms_lazy(b)) for b in widened_bases]
+        monkeypatch.setattr(
+            reference, "_greedy_run", lambda b, x, n: (None, composed_period_value_reference(b, x))
+        )
+        assert got == [_report_bits(compare_transforms_reference(b)) for b in widened_bases]
+        monkeypatch.setattr(digitset, "compare_transforms", compare_transforms_reference)
+        assert got_lazy == [_report_bits(compare_transforms_lazy(b)) for b in widened_bases]
+        assert sum(bool(rep[0]) for rep in got) > 10
+
+    def test_enumeration_matches_referees(self, report_bases, widened_bases):
+        for b in report_bases + widened_bases:
+            values = digitset._all_block_values(b)
+            assert [v.hex() for v in values] == [v.hex() for v in block_values_reference(b)]
+            assert digitset._suffix_min_values(values) == suffix_min_reference(values)
+            got = [d.hex() for d in delta_set(b).digits]
+            assert got == [d.hex() for d in digit_set_reference(b).digits], b
+
     def test_reports_with_snapped_digits(self, monkeypatch):
         # Halfway between each two digits, a digit h and a digit e just above it with
         # B * mid + EPS_SNAP == e exactly at the midpoint of the cell [h/B, e/B]: the snap
@@ -425,7 +486,7 @@ class TestPeriodValueMatchesStepReference:
                 extra += [h, _digit_at_scaled_midpoint(h, ds.beta)]
             tied = DigitSet(tuple(sorted(ds.digits + tuple(extra))), ds.beta)
             monkeypatch.setattr(digitset, "_digit_set", lambda base, values: tied)
-            monkeypatch.setattr(reference, "delta_set", lambda base: tied)
+            monkeypatch.setattr(reference, "digit_set_reference", lambda base: tied)
             got.append(_report_bits(compare_transforms(b)))
             want.append(_report_bits(compare_transforms_reference(b)))
         assert got == want
@@ -437,3 +498,80 @@ class TestPeriodValueMatchesStepReference:
             ds = delta_set(b)
             for _, _, mid in compare_transforms_cells_reference(b, ds):
                 assert 0.0 <= mid <= ds.xsup, (b, mid)
+
+
+@pytest.fixture
+def period_calls(monkeypatch):
+    """The midpoints at which compare_transforms runs core's greedy period."""
+    calls = []
+    real = digitset._greedy_loop
+    monkeypatch.setattr(digitset, "_greedy_loop", lambda period, x: calls.append(x) or real(period, x))
+    return calls
+
+
+def _unsure_midpoints(b, ds):
+    """Midpoints of the cells that the cylinder walk leaves to the computed images: cells
+    no wider than WALK_MIN_WIDTH and cells whose cylinder-to-digit gap lies within
+    WALK_MARGIN of the tolerance, both scaled as compare_transforms scales them."""
+    B = b.product
+    scale = max(1.0, max(b.xmax))
+    tol = AGREE_TOL * max(1.0, B)
+    starts = suffix_min_reference(block_values_reference(b))
+    out = []
+    for lo, hi, mid in compare_transforms_cells_reference(b, ds):
+        y = B * mid
+        v = starts[bisect_right(starts, y) - 1]
+        d = ds.digits[bisect_right(ds.digits, y + EPS_SNAP) - 1]
+        if hi - lo <= WALK_MIN_WIDTH * scale or abs(abs(v - d) - tol) <= WALK_MARGIN * max(1.0, B) * scale:
+            out.append(mid)
+    return out
+
+
+class TestCylinderWalk:
+    """compare_transforms decides a cell by its greedy cylinder's block value and runs one
+    greedy period only for a witness or where the walk is unsure of the computed decision."""
+
+    def test_one_period_per_witness(self, period_calls, report_bases):
+        for b in report_bases:
+            period_calls.clear()
+            rep = compare_transforms(b)
+            assert period_calls == [w.x for w in rep.witnesses], b
+
+    def test_periods_where_the_walk_is_unsure(self, period_calls, widened_bases):
+        extra = 0
+        for b in widened_bases:
+            period_calls.clear()
+            rep = compare_transforms(b)
+            unsure = _unsure_midpoints(b, delta_set(b))
+            assert period_calls == sorted(set(unsure) | {w.x for w in rep.witnesses}), b
+            extra += len(period_calls) - len(rep.witnesses)
+        assert extra > 20
+        period_calls.clear()
+        assert not compare_transforms(base_324()) and period_calls == []
+
+    @pytest.mark.parametrize("where", ["narrow_inside", "gap_below_tol", "gap_above_tol"])
+    def test_built_digit_sets(self, monkeypatch, period_calls, where):
+        # Digits added to the blocked set of one-slot bases: a tied pair [h/B, e/B] whose
+        # snapped digit acts at the midpoint, inside a disagreement opened at a quarter
+        # point; or one digit above digit 0 by the tolerance -+ half the walk's margin.
+        rng = SplitMix64(42)
+        bases = [new_base((rng.uniform(1.1, 1.8),)) for _ in range(12)]
+        for b, ds in [(b, delta_set(b)) for b in bases]:  # built before _digit_set is patched
+            B = ds.beta
+            if where == "narrow_inside":
+                a, c = ds.digits[:2]
+                h = 0.5 * (a + c)
+                extra = (a + 0.25 * (c - a), h, _digit_at_scaled_midpoint(h, B))
+            else:
+                sign = -1.0 if where == "gap_below_tol" else 1.0
+                extra = (max(1.0, B) * (AGREE_TOL + sign * 0.5 * WALK_MARGIN * max(1.0, max(b.xmax))),)
+            built = DigitSet(tuple(sorted(ds.digits + extra)), B)
+            monkeypatch.setattr(digitset, "_digit_set", lambda base, values: built)
+            monkeypatch.setattr(reference, "digit_set_reference", lambda base: built)
+            period_calls.clear()
+            rep = compare_transforms(b)
+            assert _report_bits(rep) == _report_bits(compare_transforms_reference(b))
+            unsure = _unsure_midpoints(b, built)
+            assert period_calls == sorted(set(unsure) | {w.x for w in rep.witnesses})
+            assert len(unsure) == (1 if where == "narrow_inside" else 2)
+            assert len(rep.witnesses) == (0 if where == "gap_below_tol" else 1)
