@@ -25,7 +25,6 @@ from .digitset import (
     greedy_delta_step,
     is_allowable,
     lazy_delta_step,
-    nondecreasing_bruteforce,
     nondecreasing_by_criterion,
     tilde,
 )
@@ -51,7 +50,6 @@ from .measure import (
     measure_interval,
     mu_product,
     preimage,
-    single_map,
     slot_densities,
 )
 from .oracle import (

@@ -153,7 +153,7 @@ def _sample_grid(lo: float, hi: float, cuts: Iterable[float], per_unit: int) -> 
 
 def cmd_expand(args) -> _Output:
     base = _parse_base(args)
-    x = parse_expression(args.x).value
+    x = parse_expression(args.x)
     if args.mode == "greedy":
         word = core.greedy_expand(base, x, args.digits)
     else:
@@ -224,7 +224,7 @@ def cmd_measure(args) -> _Output:
 
 def cmd_freq(args) -> _Output:
     base = _parse_base(args)
-    x0 = None if args.x0 is None else parse_expression(args.x0).value
+    x0 = None if args.x0 is None else parse_expression(args.x0)
     value = measure.frequency(base, args.digit)
     payload = {"digit": args.digit, "frequency": value}
     lines = [f"digit {args.digit} frequency: {_fmt(value)}"]
@@ -270,7 +270,7 @@ def cmd_compare(args) -> _Output:
 def cmd_orbit(args) -> _Output:
     _check_at_least("--steps", args.steps, 0)
     base = _parse_base(args)
-    x = parse_expression(args.x).value
+    x = parse_expression(args.x)
     check_size(args.steps, "the orbit", "step ")
     step = core.greedy_step if args.mode == "greedy" else core.lazy_step
     if args.steps:

@@ -385,13 +385,8 @@ def lazy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
     return DigitWord(tuple(out), 0)
 
 
-def evaluate(base: AlternateBase, w: DigitWord, with_max_tail: bool = False) -> float:
-    """Value of a digit word: sum of a_n over the running base products.
-
-    With ``with_max_tail`` the value of the all-maximal continuation is
-    added, turning the partial sum into an upper bound for every number
-    whose expansion starts with ``w``.
-    """
+def evaluate(base: AlternateBase, w: DigitWord) -> float:
+    """Value of a digit word: sum of a_n over the running base products."""
     digits, betas, alphabets = tuple(w.digits), base.betas, base.alphabets
     p = len(betas)
     i = w.base_offset % p
@@ -410,8 +405,6 @@ def evaluate(base: AlternateBase, w: DigitWord, with_max_tail: bool = False) -> 
     for d, beta in zip(digits, cycle(betas[i:] + betas[:i])):
         prod *= beta
         total += d / prod
-    if with_max_tail:
-        total += base.xmax[(i + len(digits)) % p] / prod
     return total
 
 
@@ -431,19 +424,17 @@ BetaSource = Union[Iterable[float], Callable[[int], float]]
 class CantorBaseStream:
     """Pull-based sequence of bases beta_n > 1, materialized on demand.
 
-    Accepts an iterable or a callable n -> beta_n.  Entries are validated
-    as they are drawn.
+    Accepts an iterable or a callable n -> beta_n, such as ``base.beta``
+    for an alternate base.  Entries are validated as they are drawn.
     """
 
     def __init__(self, source: BetaSource):
         self._it = map(source, count()) if callable(source) else iter(source)
         self._prefix: list[float] = []
 
-    @classmethod
-    def periodic(cls, base: AlternateBase) -> "CantorBaseStream":
-        return cls(lambda n: base.betas[n % base.p])
-
     def beta(self, n: int) -> float:
+        if n < 0:
+            raise DomainError(f"base stream index {n} is negative")
         while len(self._prefix) <= n:
             k = len(self._prefix)
             try:

@@ -178,12 +178,6 @@ def nondecreasing_by_criterion(base: AlternateBase) -> bool:
     return True
 
 
-def nondecreasing_bruteforce(base: AlternateBase) -> bool:
-    """Monotonicity by full lexicographic enumeration of digit blocks."""
-    vals = _all_block_values(base)
-    return all(a <= b + AGREE_TOL for a, b in zip(vals, vals[1:]))
-
-
 class Witness(_Record):
     __slots__ = ("x", "delta_image", "composed_image")
     x: float

@@ -16,19 +16,12 @@ from __future__ import annotations
 import math
 import re
 
-from .core import _Record
 from .errors import ParseError
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 # one token per match, blanks between them skipped; an exponent counts only when its digits follow
 _TOKEN = re.compile(r"(?P<number>[\d.]+(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d_]+)|(?P<op>\S)")
-
-
-class BaseExpression(_Record):
-    __slots__ = ("source", "value")
-    source: str
-    value: float
 
 
 class _Parser:
@@ -108,9 +101,9 @@ class _Parser:
         raise self.error("expected a number, name or parenthesis", at)
 
 
-def parse_expression(text: str) -> BaseExpression:
+def parse_expression(text: str) -> float:
     """Evaluate one expression; the whole input must be consumed."""
-    return BaseExpression(text, _Parser(text).value(0, ("",)))
+    return _Parser(text).value(0, ("",))
 
 
 def _parse_list(text: str) -> tuple[float, ...]:

@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from numbers import Integral
 from typing import TYPE_CHECKING
 
-from .core import AlternateBase, _Record, check_size, snap_ceil
+from .core import AlternateBase, _Record, check_size
 from .errors import AlphabetError, DomainError, SingularSystem, TruncationTooShallow
 
 if TYPE_CHECKING:
@@ -72,24 +72,6 @@ class PiecewiseLinearMap(_Record):
             raise DomainError(f"{x!r} outside [0, 1)")
         return self.slope * (x - self.endpoints[self.branch_of(x)])
 
-    def left_limit(self, x: float) -> float:
-        """Value approached from the left; at a breakpoint, the lower branch."""
-        if not math.isfinite(x):
-            raise DomainError(f"{x!r} is not a finite point")
-        k = bisect_left(self.endpoints, x) - 1
-        k = min(max(k, 0), self.branch_count - 1)
-        return self.slope * (x - self.endpoints[k])
-
-
-def single_map(beta: float) -> PiecewiseLinearMap:
-    """The one-base map x -> beta*x mod its digit on [0,1)."""
-    if not 1.0 < beta < math.inf:
-        raise DomainError(f"slope {beta!r} must be finite and exceed 1")
-    m = snap_ceil(beta) - 1
-    check_size(m + 1, "a one-base map", "branch ")
-    pts = [k / beta for k in range(m + 1)] + [1.0]
-    return PiecewiseLinearMap(tuple(pts), beta)
-
 
 def compose_map(base: AlternateBase, slot: int) -> PiecewiseLinearMap:
     """One full period of the greedy dynamics as seen from ``slot``.
@@ -105,7 +87,7 @@ def compose_map(base: AlternateBase, slot: int) -> PiecewiseLinearMap:
     # branches grow like the slope product, not the digit-block count: bound cuts and passes
     check_size(max(base.alphabets) + 1, "composed-map branch count")
     s = base.betas[slot]
-    # single_map's points k / beta, listed without building one map per base
+    # the first base's cuts k / beta, then 1
     pts = [k / s for k in range(base.alphabets[slot] + 1)] + [1.0]
     for j in range(1, p):
         b, m = base.beta(slot + j), base.alphabet(slot + j)

@@ -16,7 +16,9 @@ from itertools import chain, cycle, islice
 from numbers import Integral
 from typing import Iterator, Optional
 
-from .core import EPS_SNAP, AlternateBase, StatePoint, _Record, check_enumeration_bound, check_size
+from .core import (
+    EPS_SNAP, AlternateBase, StatePoint, _digit_count, _Record, check_enumeration_bound, check_size
+)
 from .errors import AlphabetError, DomainError
 
 # Orbits are iterated with a deterministic one-ulp dither.  Multiplication
@@ -62,15 +64,6 @@ class SplitMix64:
         u = (self.next_u64() >> 11) * 2.0**-53
         return lo + u * (hi - lo)
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] by rejection."""
-        span = hi - lo + 1
-        limit = (1 << 64) - ((1 << 64) % span)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return lo + u % span
-
 
 class TupleSearchResult(_Record):
     __slots__ = ("digits", "value")
@@ -94,6 +87,7 @@ def lex_greatest(base: AlternateBase, x: float, n: int) -> TupleSearchResult:
     """
     if not (-EPS_SNAP <= x <= base.xmax[0] + EPS_SNAP):
         raise DomainError(f"x={x!r} outside [0, xmax)")
+    n = _digit_count(n)
     check_enumeration_bound(base, n, f"{n}-digit enumeration")
     prods = _prefix_products(base, n)
     digits = []
@@ -118,6 +112,7 @@ def lex_least(base: AlternateBase, x: float, n: int) -> TupleSearchResult:
     """
     if not (0.0 < x <= base.xmax[0] + EPS_SNAP):
         raise DomainError(f"x={x!r} outside (0, xmax]")
+    n = _digit_count(n)
     check_enumeration_bound(base, n, f"{n}-digit enumeration")
     prods = _prefix_products(base, n)
     digits = [0] * n

@@ -19,13 +19,23 @@ def base_phi2():
     return new_base((PHI * PHI,))
 
 
+def randint(rng: SplitMix64, lo: int, hi: int) -> int:
+    """Uniform integer in [lo, hi] by rejection."""
+    span = hi - lo + 1
+    limit = (1 << 64) - ((1 << 64) % span)
+    while True:
+        u = rng.next_u64()
+        if u < limit:
+            return lo + u % span
+
+
 def random_base(rng: SplitMix64, pmin=1, pmax=3, lo=1.1, hi=3.0):
     """A random base whose components stay clear of integers.
 
     Components within 1e-3 of an integer are resampled so that alphabet
     sizes are unambiguous under floating-point noise.
     """
-    p = rng.randint(pmin, pmax)
+    p = randint(rng, pmin, pmax)
     betas = []
     while len(betas) < p:
         b = rng.uniform(lo, hi)

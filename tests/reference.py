@@ -21,13 +21,14 @@ value behind compare_transforms must equal; greedy_digit_reference is the
 one greedy digit rule they, the expansion over a base stream and the
 orbit statistics inline, and the dithered reference step takes its digit
 from it.
-The period map is built as a chain of two-map compositions, each one a
-validated map.  The monotonicity criterion is recomputed from scratch for
-every cut, and orbit_of_one_density is the paper's density from the greedy
-orbits of 1, an independent check of the composed-map construction;
-orbit_of_one_density_exact is the same construction in exact arithmetic.
-graph_rows_reference samples each branch of the graph against every cut of
-its slot.
+The period map is built as a chain of two-map compositions of one-base
+maps, each one a validated map.  The monotonicity criterion is recomputed
+from scratch for every cut, nondecreasing_bruteforce decides monotonicity
+over every digit block, and orbit_of_one_density is the paper's density
+from the greedy orbits of 1, an independent check of the composed-map
+construction; orbit_of_one_density_exact is the same construction in
+exact arithmetic.  graph_rows_reference samples each branch of the graph
+against every cut of its slot.
 """
 
 import math
@@ -67,7 +68,6 @@ from altbase.measure import (
     PiecewiseLinearMap,
     _correction_matrix,
     default_truncation,
-    single_map,
 )
 from altbase.oracle import (
     _DITHER_SALT,
@@ -225,7 +225,7 @@ def _modified_step(map_, x):
     """One orbit step with the left-limit convention at breakpoints."""
     x = snap_to_breakpoints_reference(x, map_.endpoints)
     if x in map_.endpoints and x > 0.0:
-        y = map_.left_limit(x)
+        y = left_limit_reference(map_, x)
     else:
         y = map_.slope * (x - map_.endpoints[map_.branch_of(x)])
     return snap_to_breakpoints_reference(y, map_.endpoints)
@@ -234,7 +234,7 @@ def _modified_step(map_, x):
 def endpoint_orbits_reference(map_, cs, M):
     orbits = []
     for c in cs:
-        x = map_.left_limit(snap_to_breakpoints_reference(c, map_.endpoints))
+        x = left_limit_reference(map_, snap_to_breakpoints_reference(c, map_.endpoints))
         x = snap_to_breakpoints_reference(x, map_.endpoints)
         orb = [x]
         for _ in range(M - 1):
@@ -308,12 +308,17 @@ def _compose_reference(outer, inner):
     return PiecewiseLinearMap(tuple(pts), s * outer.slope)
 
 
+def one_base_map_reference(beta):
+    """The one-base map x -> beta*x mod its digit on [0, 1): cuts k/beta below 1, then 1."""
+    return PiecewiseLinearMap(tuple(k / beta for k in range(snap_ceil(beta))) + (1.0,), beta)
+
+
 def compose_map_reference(base, slot):
     """The period map of ``slot`` as a chain of p - 1 two-map compositions."""
     p = base.p
-    acc = single_map(base.betas[slot])
+    acc = one_base_map_reference(base.betas[slot])
     for j in range(1, p):
-        acc = _compose_reference(single_map(base.betas[(slot + j) % p]), acc)
+        acc = _compose_reference(one_base_map_reference(base.betas[(slot + j) % p]), acc)
     return acc
 
 
@@ -362,6 +367,12 @@ def digit_set_reference(base):
         if v - merged[-1] > tol:
             merged.append(v)
     return DigitSet(tuple(merged), base.product)
+
+
+def nondecreasing_bruteforce(base):
+    """Monotonicity by full lexicographic enumeration of digit blocks."""
+    vals = block_values_reference(base)
+    return all(a <= b + AGREE_TOL for a, b in zip(vals, vals[1:]))
 
 
 def suffix_min_reference(values):

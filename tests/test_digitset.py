@@ -20,14 +20,13 @@ from altbase.digitset import (
     greedy_delta_step,
     is_allowable,
     lazy_delta_step,
-    nondecreasing_bruteforce,
     nondecreasing_by_criterion,
     tilde,
 )
 from altbase import digitset
 from altbase.errors import AlphabetError, DomainError, NotAllowable, SearchTooLarge
 from altbase.oracle import SplitMix64
-from helpers import BASE13_BETAS, PHI, base13, random_base
+from helpers import BASE13_BETAS, PHI, base13, randint, random_base
 import reference
 from reference import (
     block_values_reference,
@@ -35,6 +34,7 @@ from reference import (
     compare_transforms_reference,
     composed_period_value_reference,
     digit_set_reference,
+    nondecreasing_bruteforce,
     nondecreasing_by_criterion_reference,
     suffix_min_reference,
 )
@@ -417,7 +417,7 @@ def widened_bases():
     rng = SplitMix64(41)
 
     def pick(seq):
-        return seq[rng.randint(0, len(seq) - 1)]
+        return seq[randint(rng, 0, len(seq) - 1)]
 
     named = [[pick(NAMED_BETAS) * pick(SCALES) for _ in range(k % 4 + 1)] for k in range(240)]
     near = [[pick((2, 3, 4)) + pick((-1e-10, 1e-10)) for _ in range(k % 3 + 1)] for k in range(90)]

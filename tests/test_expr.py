@@ -31,7 +31,9 @@ from altbase.expr import PHI, parse_base_list, parse_expression
     ],
 )
 def test_values(text, value):
-    assert parse_expression(text).value == pytest.approx(value, rel=1e-15)
+    got = parse_expression(text)
+    assert type(got) is float
+    assert got == pytest.approx(value, rel=1e-15)
 
 
 def test_base_list():
@@ -116,7 +118,7 @@ def test_blanks_and_digits(text, value):
         with pytest.raises(ParseError, match="trailing input"):
             parse_expression(text)
     else:
-        assert parse_expression(text).value == value
+        assert parse_expression(text) == value
 
 
 _BLANK = st.sampled_from(["", " ", "\t", "\n", "\u00a0", "\u2003"])
@@ -160,7 +162,7 @@ def test_random_trees_parse_to_the_python_value(tree, data):
     except (ZeroDivisionError, ValueError):  # a zero divisor, or the root of a negative
         value = math.nan
     if math.isfinite(value):
-        assert repr(parse_expression(text).value) == repr(value)
+        assert repr(parse_expression(text)) == repr(value)
     else:
         with pytest.raises(ParseError):
             parse_expression(text)

@@ -33,11 +33,10 @@ from altbase.measure import (
     measure_interval,
     mu_product,
     preimage,
-    single_map,
     slot_densities,
 )
 from altbase.oracle import SplitMix64, birkhoff_frequency
-from helpers import PHI, SQRT13, base13, base_phi2, random_base
+from helpers import BASE13_BETAS, PHI, SQRT13, base13, base_phi2, randint, random_base
 from reference import (
     branch_of_reference,
     compose_map_reference,
@@ -45,8 +44,8 @@ from reference import (
     density_eval_reference,
     endpoint_orbits_reference,
     gora_density_reference,
-    left_limit_reference,
     measure_interval_reference,
+    one_base_map_reference,
     orbit_of_one_density,
     orbit_of_one_density_exact,
     step_density_eval,
@@ -97,7 +96,7 @@ class TestComposeMap:
         rng = SplitMix64(22)
         for _ in range(30):
             b = random_base(rng, pmax=4)
-            m = compose_map(b, rng.randint(0, b.p - 1))
+            m = compose_map(b, randint(rng, 0, b.p - 1))
             for k in range(m.branch_count):
                 assert m.endpoints[k + 1] - m.endpoints[k] <= 1 / m.slope + 1e-12
 
@@ -111,17 +110,19 @@ class TestComposeMap:
             compose_map(new_base((2e7,)), 0)
 
     def test_single_map_over_the_bound_is_refused(self, monkeypatch):
-        with pytest.raises(SearchTooLarge, match="branch bound"):
-            single_map(1000000000.5)  # would list 10^9 endpoints
+        # the one-base map is the period map of a period-1 base
+        single = lambda beta: compose_map(new_base((beta,)), 0)
+        with pytest.raises(SearchTooLarge, match="composed-map branch"):
+            single(1000000000.5)  # would list 10^9 endpoints
         monkeypatch.setattr(core, "ENUMERATION_BOUND", 10)
-        assert single_map(9.5).branch_count == 10
-        with pytest.raises(SearchTooLarge, match="branch bound"):
-            single_map(10.5)
+        assert single(9.5).branch_count == 10
+        with pytest.raises(SearchTooLarge, match="composed-map branch"):
+            single(10.5)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf], ids=["nan", "inf"])
     def test_single_map_rejects_non_finite(self, beta):
         with pytest.raises(DomainError):
-            single_map(beta)
+            compose_map(new_base((beta,)), 0)
 
     @pytest.mark.parametrize(
         "endpoints, slope",
@@ -140,11 +141,6 @@ class TestComposeMap:
     def test_map_rejects_bad_endpoints_and_slopes(self, endpoints, slope):
         with pytest.raises(DomainError):
             PiecewiseLinearMap(endpoints, slope)
-
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_left_limit_rejects_non_finite(self, x):
-        with pytest.raises(DomainError):
-            compose_map(base13(), 0).left_limit(x)
 
 
 class TestGoraDensity:
@@ -306,7 +302,7 @@ class TestPreimage:
         specs = slot_densities(b)
         rng = SplitMix64(27)
         for i in range(2):
-            step = single_map(b.betas[(i - 1) % 2])
+            step = one_base_map_reference(b.betas[(i - 1) % 2])
             for _ in range(50):
                 a = rng.uniform(0, 1)
                 c = rng.uniform(0, 1)
@@ -394,6 +390,23 @@ class TestEntropyAndProduct:
         assert entropy(base_phi2()) == pytest.approx(2 * math.log(PHI), abs=1e-12)
         assert entropy(base13()) == pytest.approx(0.5 * math.log((3 + SQRT13) / 2), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "betas, top", [(BASE13_BETAS, 10), ((1.3, 2.7, 1.9, 3.4, 1.15), 4)], ids=["sqrt13", "period5"]
+    )
+    def test_entropy_is_the_growth_rate_of_greedy_words(self, betas, top):
+        # each branch of the period map of betas * n is one greedy word of length p * n, so the
+        # count grows like B^n and log(count) / (p * n) tends to entropy(base) from above, as 1/n;
+        # top keeps the largest map (862k branches for period 5) well within the branch bound
+        base = new_base(betas)
+        h, B, p = entropy(base), base.product, base.p
+        counts = [compose_map(new_base(betas * n), 0).branch_count for n in range(1, top + 1)]
+        gaps = [math.log(c) / (p * n) - h for n, c in enumerate(counts, 1)]
+        assert all(0.0 < later < g for g, later in zip(gaps, gaps[1:]))
+        assert all(n * g <= 1.5 * gaps[0] for n, g in enumerate(gaps, 1))
+        errors = [abs(c / prev - B) / B for prev, c in zip(counts, counts[1:])]
+        assert all(later < e for e, later in zip(errors, errors[1:]))
+        assert errors[-1] < 1e-5
+
     def test_mu_product_full(self):
         b = base13()
         full = [IntervalMeasureQuery(i, 0.0, 1.0) for i in range(2)]
@@ -461,7 +474,6 @@ class TestLookupsMatchSearchsorted:
             pts += [rng.uniform(0.0, 1.0) for _ in range(200)]
             for x in pts:
                 assert m.branch_of(x) == branch_of_reference(m, x)
-                assert m.left_limit(x) == left_limit_reference(m, x)
 
     def test_density_lookups(self, maps_and_specs):
         for m, spec in maps_and_specs:

@@ -27,7 +27,7 @@ from altbase.oracle import (
     lex_greatest,
     lex_least,
 )
-from helpers import BASE13_BETAS, PHI, base13, random_base
+from helpers import BASE13_BETAS, PHI, base13, randint, random_base
 from reference import (
     birkhoff_frequency_reference,
     dithered_orbit_reference,
@@ -56,7 +56,7 @@ class TestSplitMix:
 
     def test_randint_bounds(self):
         r = SplitMix64(5)
-        vals = {r.randint(1, 4) for _ in range(200)}
+        vals = {randint(r, 1, 4) for _ in range(200)}
         assert vals == {1, 2, 3, 4}
 
     @pytest.mark.parametrize(
@@ -112,7 +112,7 @@ class TestLexSearch:
         rng = SplitMix64(12)
         for _ in range(60):
             b = random_base(rng)
-            n = rng.randint(1, 6)
+            n = randint(rng, 1, 6)
             x = rng.uniform(0, b.xmax[0])
             assert lex_greatest(b, x, n) == lex_greatest_naive(b, x, n)
             if x > 0:
@@ -122,7 +122,7 @@ class TestLexSearch:
         rng = SplitMix64(13)
         for _ in range(60):
             b = random_base(rng)
-            n = rng.randint(1, 8)
+            n = randint(rng, 1, 8)
             x = rng.uniform(1e-6, b.xmax[0] - 1e-6)
             assert lex_greatest(b, x, n).digits == greedy_expand(b, x, n).digits
             assert lex_least(b, x, n).digits == lazy_expand(b, x, n).digits
@@ -131,6 +131,12 @@ class TestLexSearch:
         b = new_base((1e6, 1e6))
         with pytest.raises(SearchTooLarge):
             lex_greatest(b, 0.5, 3)
+
+    @pytest.mark.parametrize("search", [lex_greatest, lex_least])
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_count_is_refused(self, search, n):
+        with pytest.raises(DomainError, match="digit count"):
+            search(new_base((2.5, 1.5)), 0.5, n)
 
 
 class TestBirkhoff:

@@ -10,6 +10,10 @@ array('d'); an error by its type and message.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from array import array
 from itertools import chain
 
@@ -31,7 +35,7 @@ from altbase.measure import (
     preimage,
 )
 from altbase.oracle import SplitMix64
-from helpers import random_base
+from helpers import randint, random_base
 from reference import compare_transforms_reference, measure_interval_reference, preimage_reference
 
 NAN = math.nan
@@ -68,7 +72,7 @@ def _ends(keys, rng):
     tied = sorted({k for k, nxt in zip(keys, keys[1:]) if k == nxt})
     picked = set(tied[:2])
     for _ in range(min(2, len(keys))):
-        picked.add(keys[rng.randint(0, len(keys) - 1)])
+        picked.add(keys[randint(rng, 0, len(keys) - 1)])
     pts = {0.0, 1.0, rng.uniform(0.0, 1.0)}
     for k in picked:
         pts.update((k, math.nextafter(k, -math.inf), math.nextafter(k, math.inf)))
@@ -167,13 +171,52 @@ def _report_or_error(fn, base):
     )
 
 
+# (1000000.5, 1000000.5) has about 10^12 digit blocks.  Each referee on the path of
+# compare_transforms_reference must refuse it before enumerating; the child caps its own
+# address space, so a referee that lost its bound fails with MemoryError in the child
+# instead of exhausting the memory of the test run.
+HUGE_BETAS = (1000000.5, 1000000.5)
+CHILD_ADDRESS_SPACE = 512 * 2**20
+_REFEREES_PROBE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (LIMIT, resource.getrlimit(resource.RLIMIT_AS)[1]))
+import reference
+from altbase.core import new_base
+from altbase.errors import AltBaseError
+
+for name in ("block_values_reference", "digit_set_reference", "compare_transforms_reference"):
+    try:
+        getattr(reference, name)(new_base(BETAS))
+        print(name, "returned")
+    except AltBaseError as exc:
+        print(name, type(exc).__name__, exc)
+"""
+
+
 class TestCompareTransforms:
     def test_reports_match_reference(self):
-        bases = _bases() + [new_base((1000000.5, 1000000.5))]
+        bases = _bases()
         got = [_report_or_error(compare_transforms, b) for b in bases]
         assert got == [_report_or_error(compare_transforms_reference, b) for b in bases]
         assert sum(bool(rep[0]) for rep in got) > 10  # some reports disagree somewhere
-        assert isinstance(got[-1][0], type)  # the last base is refused
+
+    def test_referees_refuse_a_huge_base_within_a_memory_cap(self):
+        tests = pathlib.Path(__file__).resolve().parent
+        src = str(tests.parent / "src")
+        path = os.pathsep.join(filter(None, [src, str(tests), os.environ.get("PYTHONPATH")]))
+        head = f"LIMIT = {CHILD_ADDRESS_SPACE}\nBETAS = {HUGE_BETAS!r}\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", head + _REFEREES_PROBE],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        kind, message = _report_or_error(compare_transforms, new_base(HUGE_BETAS))
+        assert kind.__name__ == "SearchTooLarge"
+        assert proc.stdout.splitlines() == [
+            f"{name} SearchTooLarge {message}"
+            for name in ("block_values_reference", "digit_set_reference", "compare_transforms_reference")
+        ]
 
 
 class TestMuProductChecksFirst:
