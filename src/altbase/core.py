@@ -205,16 +205,12 @@ def shift_base(base: AlternateBase, n: int) -> AlternateBase:
     return AlternateBase(rot(base.betas), base.product, rot(base.alphabets), rot(base.xmax))
 
 
-def _domain_error(x: float, hi: float, slot: int) -> DomainError:
-    return DomainError(f"state value {x!r} outside [0, {hi!r}] at slot {slot}")
-
-
 def _clamp(base: AlternateBase, slot: int, x: float) -> float:
     """``x`` pulled into [0, xmax] of ``slot``; NaN or more than EPS_SNAP outside raises."""
-    hi = base.xmax[slot % base.p]
+    hi = base.xmax[slot % len(base.xmax)]
     if not (-EPS_SNAP <= x <= hi + EPS_SNAP):
-        raise _domain_error(x, hi, slot)
-    return min(max(x, 0.0), hi)
+        raise DomainError(f"state value {x!r} outside [0, {hi!r}] at slot {slot}")
+    return 0.0 if x < 0.0 else hi if x > hi else x
 
 
 # StatePoint(i, x) without the Python-level NamedTuple.__new__ call
@@ -229,27 +225,12 @@ def greedy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
     always the maximal alphabet digit, since beta*x >= beta exceeds it.
     """
     slot, x = s
-    p = len(base.betas)
-    i = slot if 0 <= slot < p else slot % p
-    hi = base.xmax[i]
-    if not (-EPS_SNAP <= x <= hi + EPS_SNAP):
-        raise _domain_error(x, hi, slot)
-    if x < 0.0:
-        x = 0.0
-    elif x > hi:
-        x = hi
-    y = base.betas[i] * x
-    # the digit rule of _greedy_loop, inlined for per-call speed; a test pins both to one rule
-    digit = int(y + EPS_SNAP)
-    if digit > base.alphabets[i]:
-        digit = base.alphabets[i]
-    i = i + 1 if i + 1 < p else 0
-    x = y - digit
-    if x < EPS_SNAP:
-        x = 0.0  # also floor(y + EPS_SNAP) a hair above y: y - digit may sit below -EPS_SNAP
-    elif x > base.xmax[i]:
-        x = base.xmax[i]  # float drift at the very top of the domain
-    return _new_state(StatePoint, (i, x)), digit
+    xm = base.xmax
+    p = len(xm)
+    i = slot % p
+    j = i + 1 if i + 1 < p else 0
+    (digit,), x = _greedy_loop(((base.betas[i], base.alphabets[i], xm[j]),), _clamp(base, slot, x))
+    return _new_state(StatePoint, (j, x)), digit
 
 
 def lazy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
@@ -259,32 +240,13 @@ def lazy_step(base: AlternateBase, s: StatePoint) -> tuple[StatePoint, int]:
     keeping the remainder representable, ceil(beta*x - xmax_next).
     """
     slot, x = s
-    p = len(base.betas)
-    i = slot if 0 <= slot < p else slot % p
-    hi = base.xmax[i]
-    if not (-EPS_SNAP <= x <= hi + EPS_SNAP):
-        raise _domain_error(x, hi, slot)
-    if x < 0.0:
-        x = 0.0
-    elif x > hi:
-        x = hi
-    b = base.betas[i]
-    m = base.alphabets[i]
-    i = i + 1 if i + 1 < p else 0
-    hi_next = base.xmax[i]
-    if x <= hi - 1.0 + EPS_SNAP:
-        digit = 0
-    else:
-        # snap_ceil(b * x - hi_next) without the call, the same floats in the same order
-        digit = math.ceil(b * x - hi_next - EPS_SNAP)
-        if digit < 0:
-            digit = 0
-        elif digit > m:
-            digit = m
-    x = b * x - digit
-    if x > hi_next:
-        x = hi_next
-    return _new_state(StatePoint, (i, x)), digit
+    xm = base.xmax
+    p = len(xm)
+    i = slot % p
+    j = i + 1 if i + 1 < p else 0
+    slots = ((base.betas[i], base.alphabets[i], xm[j], xm[i] - 1.0 + EPS_SNAP),)
+    (digit,), x = _lazy_loop(slots, _clamp(base, slot, x))
+    return _new_state(StatePoint, (j, x)), digit
 
 
 class DigitWord(_Record):
@@ -314,9 +276,9 @@ def _greedy_loop(slots: Iterable[tuple[float, int, float]], x: float) -> tuple[l
     """Digits and last remainder of greedy steps over (beta, alphabet, cap) triples.
 
     x already lies in the first domain.  A remainder below EPS_SNAP is 0 (the
-    snapped floor may exceed beta*x by a hair), one above cap is cap.
-    greedy_step and the orbit statistics' tally loop (oracle._orbit_tally)
-    inline this digit rule; tests pin all three to one reference rule.
+    snapped floor may exceed beta*x by a hair), one above cap is cap.  The
+    orbit statistics' tally loop (oracle._orbit_tally) inlines this digit
+    rule; tests pin both to one reference rule.
     """
     out = []
     for beta, m, hi in slots:
@@ -351,38 +313,45 @@ def greedy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
     return DigitWord(tuple(_greedy_run(base, x, _digit_count(n))[0]), 0)
 
 
-def lazy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
-    """First n digits of the lazy expansion of x, starting at slot 0.
+def _lazy_loop(
+    slots: Iterable[tuple[float, int, float, float]], x: float
+) -> tuple[list[int], float]:
+    """Digits and last remainder of lazy steps over (beta, alphabet, cap, small) tuples.
 
-    The loop of greedy_expand for lazy_step's rule; the per-slot tuple adds
-    the digit-0 threshold xmax - 1 + EPS_SNAP.  The digit is snap_ceil written
-    out, as lazy_step writes it.
+    x already lies in the first domain.  x <= small (xmax - 1 + EPS_SNAP)
+    emits digit 0, anything larger snap_ceil(beta*x - cap) written out and
+    kept within [0, alphabet].  A remainder above cap is cap, one below 0 is 0.
     """
+    out = []
+    ceil, eps = math.ceil, EPS_SNAP
+    for beta, m, hi, small in slots:
+        if x <= small:
+            d = 0
+        else:
+            d = ceil(beta * x - hi - eps)
+            if d < 0:
+                d = 0
+            elif d > m:
+                d = m
+        x = beta * x - d
+        if x > hi:
+            x = hi
+        elif x < 0.0:
+            x = 0.0
+        out.append(d)
+    return out, x
+
+
+def lazy_expand(base: AlternateBase, x: float, n: int) -> DigitWord:
+    """First n digits of the lazy expansion of x, starting at slot 0."""
     if not x > 0.0:
         raise DomainError(f"lazy expansion needs 0 < x <= xmax, got {x!r}")
     n = _digit_count(n)
-    out = []
-    if n:
-        x = _clamp(base, 0, x)
-        xm = base.xmax
-        ceil, eps = math.ceil, EPS_SNAP
-        slots = zip(base.betas, base.alphabets, xm[1:] + xm[:1], [h - 1.0 + eps for h in xm])
-        for beta, m, hi, small in islice(cycle(slots), n):
-            if x <= small:
-                d = 0
-            else:
-                d = ceil(beta * x - hi - eps)
-                if d < 0:
-                    d = 0
-                elif d > m:
-                    d = m
-            x = beta * x - d
-            if x > hi:
-                x = hi
-            elif x < 0.0:
-                x = 0.0  # what the next lazy_step's clamp would do
-            out.append(d)
-    return DigitWord(tuple(out), 0)
+    if not n:
+        return DigitWord((), 0)
+    xm = base.xmax
+    slots = zip(base.betas, base.alphabets, xm[1:] + xm[:1], [h - 1.0 + EPS_SNAP for h in xm])
+    return DigitWord(tuple(_lazy_loop(islice(cycle(slots), n), _clamp(base, 0, x))[0]), 0)
 
 
 def evaluate(base: AlternateBase, w: DigitWord) -> float:

@@ -18,17 +18,20 @@ normalisation indexed per entry.  The greedy and lazy steps are the
 one-call-per-digit versions (a StatePoint per step, every state clamped and
 checked, slots taken mod p) that the expansions, evaluate and the period
 value behind compare_transforms must equal; greedy_digit_reference is the
-one greedy digit rule they, the expansion over a base stream and the
-orbit statistics inline, and the dithered reference step takes its digit
-from it.
+one greedy digit rule that core's greedy loop and the orbit statistics
+write out, and the dithered reference step takes its digit from it.
 The period map is built as a chain of two-map compositions of one-base
 maps, each one a validated map.  The monotonicity criterion is recomputed
 from scratch for every cut, nondecreasing_bruteforce decides monotonicity
 over every digit block, and orbit_of_one_density is the paper's density
 from the greedy orbits of 1, an independent check of the composed-map
 construction; orbit_of_one_density_exact is the same construction in
-exact arithmetic.  graph_rows_reference samples each branch of the graph
-against every cut of its slot.
+exact arithmetic.  cross_slot_residual is the one-step transfer-operator
+check between consecutive slots, which needs no composed map.
+quasi_greedy_one and is_greedy_word are the shift's admissibility test for
+greedy words, and count_greedy_words counts the words it accepts.
+graph_rows_reference samples each branch of the graph against every cut of
+its slot.
 """
 
 import math
@@ -663,6 +666,108 @@ def orbit_of_one_density_exact(base, M=None):
         mass = sum(T * v for T, v in steps)  # 2^E times the sum of t * v
         ts = [Fraction(T, 1 << E) for T, _ in steps]
         out.append((ts, [t << E for t in tails], mass))
+    return out
+
+
+def quasi_greedy_one(base, i, n):
+    """First n digits of the quasi-greedy expansion of 1 in the base shifted by i.
+
+    The left-continuous greedy orbit of 1: a = snap_ceil(beta*t) - 1, the
+    largest digit leaving t -> beta*t - a above 0, so a finite greedy
+    expansion of 1 continues, as the quasi-greedy one does, instead of
+    ending in zeros.
+    """
+    t, out = 1.0, []
+    for k in range(i, i + n):
+        y = base.beta(k) * t
+        a = snap_ceil(y) - 1
+        out.append(a)
+        t = y - a
+    return tuple(out)
+
+
+def is_greedy_word(base, word):
+    """Whether ``word``, read from slot 0 and followed by zeros, is a greedy expansion.
+
+    It is when every suffix word[n:] is lexicographically at most the first
+    len(word) - n quasi-greedy digits of 1 in the base shifted by n (Parry
+    1960; Charlier-Cisternino 2021, "Expansions in Cantor real bases").
+    """
+    N, p = len(word), base.p
+    bounds = [quasi_greedy_one(base, j, N) for j in range(p)]
+    return all(word[n:] <= bounds[n % p][: N - n] for n in range(N))
+
+
+def count_greedy_words(base, N):
+    """The number of words of length N that is_greedy_word accepts.
+
+    A walk over the digits keeps, for each suffix still equal to its
+    quasi-greedy bound, the bound's slot and how far it has matched; walks
+    at the same position with the same matches are counted once.
+    """
+    p = base.p
+    bounds = [quasi_greedy_one(base, j, N) for j in range(p)]
+    memo = {}
+
+    def count(k, tight):
+        if k == N:
+            return 1
+        if (k, tight) not in memo:
+            total = 0
+            for c in range(base.alphabet(k) + 1):
+                matched = []
+                for j, off in tight + ((k % p, 0),):
+                    if c > bounds[j][off]:
+                        break
+                    if c == bounds[j][off]:
+                        matched.append((j, off + 1))
+                else:
+                    total += count(k + 1, tuple(matched))
+            memo[k, tight] = total
+        return memo[k, tight]
+
+    return count(0, ())
+
+
+def step_table(keys, values, first, rank):
+    """x -> first + the sum of values[rank(keys, x):], keys ascending, by one lookup.
+
+    density_eval sums up to 2,128 weights per call and step_density_eval 72
+    steps, too slow for the 10^5-10^6 preimages of the period-8 base; the
+    table gives the same step function up to summation order.
+    """
+    sums = list(accumulate(reversed(values), initial=first))[::-1]
+    return lambda x: sums[rank(keys, x)]
+
+
+def cross_slot_residual(base, densities):
+    """Per slot i, the L1 norm on [0, 1) of h_{i+1} - P_i h_i.
+
+    densities[i] = (cuts, h): slot i's density h, constant between its
+    ascending cuts.  P_i is the transfer operator of the one-base greedy map
+    of beta_i on [0, 1): (P_i h)(y) is the sum of h((a + y)/beta_i)/beta_i
+    over the digits a with (a + y)/beta_i < 1.  The paper's T_beta
+    invariance ties each slot to the next, P_i h_i = h_{i+1}.  Both sides
+    are constant between the points of one merged grid (slot i+1's cuts,
+    the images beta_i*t - a of slot i's cuts t and the branch tops
+    beta_i - a), so one midpoint per cell gives the integral exactly.
+    """
+    p = base.p
+    out = []
+    for i in range(p):
+        beta, digits = base.betas[i], range(base.alphabets[i] + 1)
+        cuts, h = densities[i]
+        next_cuts, h_next = densities[(i + 1) % p]
+        grid = {0.0, 1.0, *next_cuts}
+        grid.update(beta * t - a for t in cuts for a in digits)
+        grid.update(beta - a for a in digits)
+        grid = sorted(y for y in grid if 0.0 <= y <= 1.0)
+        terms = []
+        for lo, hi in zip(grid, grid[1:]):
+            y = 0.5 * (lo + hi)
+            pushed = sum(h((a + y) / beta) for a in digits if (a + y) / beta < 1.0) / beta
+            terms.append(abs(h_next(y) - pushed) * (hi - lo))
+        out.append(math.fsum(terms))
     return out
 
 

@@ -7,9 +7,11 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy
 import pytest
 
 import cli_golden
+import cli_golden_report
 from altbase import cli, core, errors
 from altbase.cli import main
 from altbase.core import new_base
@@ -539,7 +541,21 @@ class TestGoldenCorpus:
         "record", GOLDEN, ids=[f"{k:02d}-{rec['argv'][0]}" for k, rec in enumerate(GOLDEN)]
     )
     def test_replay(self, record, tmp_path):
-        assert cli_golden.run_cli(record["argv"], str(tmp_path)) == record
+        # the bytes depend on numpy's version and CPU dispatch (README, Numerics)
+        got = cli_golden.run_cli(record["argv"], str(tmp_path))
+        assert got == record, f"replayed with numpy {numpy.__version__}"
+
+    def test_measures_and_frequencies_match_the_exact_orbit_of_one(self, tmp_path):
+        # the worst is 2.7e-15 (phi,phi,sqrt(5), measure 1/4,3/4); see tests/cli_golden_report.py
+        checked = 0
+        for k, run, _, name, recorded, orbit_of_one, exact in cli_golden_report.report_rows(
+            str(tmp_path)
+        ):
+            if name in ("value", "frequency"):
+                assert cli_golden_report.relative_gap(recorded, exact) <= 1e-14, (k, run)
+                assert cli_golden_report.relative_gap(orbit_of_one, exact) <= 1e-14, (k, run)
+                checked += 1
+        assert checked == 24
 
 
 # The child prints one line per stage: its name, the exit code, and whether

@@ -179,8 +179,8 @@ class TestGreedyRemainderSnap:
 
 @pytest.mark.parametrize("betas", EXTENSION_BASES.values(), ids=EXTENSION_BASES.keys())
 def test_step_and_expansion_digits_are_greedy_digit(betas):
-    """greedy_step, greedy_expand and greedy_expand_cantor inline the greedy digit rule;
-    it must stay that rule."""
+    """greedy_step, greedy_expand and greedy_expand_cantor run core's greedy loop, which
+    writes the greedy digit rule out; it must stay that rule."""
     b = new_base(betas)
     s = StatePoint(0, math.sqrt(2) - 1)
     x0, digits = s.value, []

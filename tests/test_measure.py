@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import cli_golden
 from altbase import core, measure
 from altbase.core import StatePoint, greedy_step, new_base
 from altbase.errors import (
@@ -41,14 +42,18 @@ from reference import (
     branch_of_reference,
     compose_map_reference,
     correction_matrix_reference,
+    count_greedy_words,
+    cross_slot_residual,
     density_eval_reference,
     endpoint_orbits_reference,
     gora_density_reference,
+    is_greedy_word,
     measure_interval_reference,
     one_base_map_reference,
     orbit_of_one_density,
     orbit_of_one_density_exact,
     step_density_eval,
+    step_table,
 )
 
 
@@ -406,6 +411,11 @@ class TestEntropyAndProduct:
         errors = [abs(c / prev - B) / B for prev, c in zip(counts, counts[1:])]
         assert all(later < e for e, later in zip(errors, errors[1:]))
         assert errors[-1] < 1e-5
+        # the same words counted a second way, by the suffix check against the quasi-greedy
+        # expansions of 1, and that count checked on every word of length 8
+        assert [count_greedy_words(base, p * n) for n in range(1, 5)] == counts[:4]
+        words = itertools.product(*(range(base.alphabet(k) + 1) for k in range(8)))
+        assert sum(is_greedy_word(base, w) for w in words) == count_greedy_words(base, 8)
 
     def test_mu_product_full(self):
         b = base13()
@@ -769,13 +779,19 @@ def _orbit_of_one_bases():
     bases = [pytest.param(new_base(parse_base_list(text)), id=text) for text in named]
     for text in ("2+1e-10", "2.000000001,1.5"):
         bases.append(pytest.param(new_base(parse_base_list(text)), id=text, marks=NEAR_INTEGER_GAP))
-    rng = SplitMix64(44)
-    for k in range(40):
-        p = 1 + k % 8
-        name = f"random{k:02d}-p{p}"
-        base = random_base(rng, p, p, hi=ORBIT_RANDOM_HI[p])
+    for name, base in _orbit_random_bases().items():
         bases.append(pytest.param(base, id=name, marks=KNOWN_GAP if name == "random15-p8" else ()))
     return bases
+
+
+def _orbit_random_bases():
+    """40 seeded random bases, of periods 1 to 8 in turn, by name."""
+    rng = SplitMix64(44)
+    out = {}
+    for k in range(40):
+        p = 1 + k % 8
+        out[f"random{k:02d}-p{p}"] = random_base(rng, p, p, hi=ORBIT_RANDOM_HI[p])
+    return out
 
 
 class TestOrbitOfOneDensity:
@@ -839,17 +855,6 @@ def _transfer(m, h):
     return lambda x: sum(h(e + x / B) for e, top in branches if top > x) / B
 
 
-def _step_table(keys, values, first, rank):
-    """x -> first + the sum of values[rank(keys, x):], keys ascending, by one lookup.
-
-    density_eval sums up to 2,128 weights per call and step_density_eval 72
-    steps, too slow for the 10^5-10^6 preimages of the period-8 base; the
-    table gives the same step function up to summation order.
-    """
-    sums = list(itertools.accumulate(reversed(values), initial=first))[::-1]
-    return lambda x: sums[rank(keys, x)]
-
-
 class TestTransferOperatorResidual:
     """Both densities are fixed points of the period map's transfer operator.
 
@@ -863,16 +868,51 @@ class TestTransferOperatorResidual:
         rng = SplitMix64(45)
         for slot, (spec, steps) in enumerate(zip(slot_densities(base), orbit_of_one_density(base))):
             m = compose_map(base, slot)
-            table = _step_table(spec.thresholds, spec.weights, spec.d[0], bisect.bisect_left)
+            table = step_table(spec.thresholds, spec.weights, spec.d[0], bisect.bisect_left)
             gora = _transfer(m, table)
             ts, vs = zip(*sorted(steps))
-            paper = _transfer(m, _step_table(ts, vs, 0.0, bisect.bisect_right))
+            paper = _transfer(m, step_table(ts, vs, 0.0, bisect.bisect_right))
             for _ in range(300):
                 x = rng.uniform(0.0, 1.0)
                 hx = density_eval(spec, x)
                 assert abs(gora(x) / spec.C - hx) <= RESIDUAL_REL * hx
                 hx = step_density_eval(steps, x)
                 assert abs(paper(x) - hx) <= RESIDUAL_REL * hx
+
+
+# L1 bound on h_{i+1} - P_i h_i for slot densities of mass 1
+CROSS_SLOT_L1 = 1e-12
+
+
+def _cross_slot_bases():
+    """The golden bases and random15-p8.  On random15-p8, gora_density's 1.06e-10 gap
+    (KNOWN_GAP) sits on an interval too narrow to move the L1 norm: it reads 9.9e-15."""
+    golden = [pytest.param(new_base(parse_base_list(t)), id=t) for t in cli_golden.BASES]
+    return golden + [pytest.param(_orbit_random_bases()["random15-p8"], id="random15-p8")]
+
+
+def _spec_steps(spec):
+    """(thresholds, h) of a DensitySpec, h(x) by one table lookup."""
+    table = step_table(spec.thresholds, spec.weights, spec.d[0], bisect.bisect_left)
+    return spec.thresholds, lambda x: table(x) / spec.C
+
+
+class TestCrossSlotResidual:
+    """Each slot's density is the one-step transfer of the slot before it.
+
+    The exact L1 residual of tests/reference.py, for gora_density and for the
+    orbits of 1; it needs only the single bases, not the composed period map.
+    """
+
+    @pytest.mark.parametrize("base", _cross_slot_bases())
+    def test_residual(self, base):
+        gora = [_spec_steps(spec) for spec in slot_densities(base)]
+        paper = []
+        for steps in orbit_of_one_density(base):
+            ts, vs = zip(*sorted(steps))
+            paper.append((ts, step_table(ts, vs, 0.0, bisect.bisect_right)))
+        assert max(cross_slot_residual(base, gora)) <= CROSS_SLOT_L1
+        assert max(cross_slot_residual(base, paper)) <= CROSS_SLOT_L1
 
 
 class TestCorrectionMatrixStorage:
