@@ -164,9 +164,9 @@ class AlternateBase(_Record):
 def new_base(betas: Sequence[float]) -> AlternateBase:
     """Validate a tuple of bases and cache alphabets, product and suprema.
 
-    Every entry must be a finite real strictly greater than 1.  The supremum
-    xmax[i] is computed in closed form as the value of the all-maximal digit
-    word read cyclically from slot i, divided by (product - 1).
+    Every entry must be a finite real > 1, and so must their product.  The
+    supremum xmax[i] is computed in closed form as the value of the
+    all-maximal digit word read cyclically from slot i, divided by (product - 1).
     """
     bs = tuple(float(b) for b in betas)
     if not bs:
@@ -178,6 +178,8 @@ def new_base(betas: Sequence[float]) -> AlternateBase:
     # snap_ceil: a base a hair above an integer (expression float noise) counts as that integer
     alphabets = tuple(snap_ceil(b) - 1 for b in bs)
     product = math.prod(bs)
+    if not math.isfinite(product):
+        raise DomainError(f"the product of the base components overflows to {product!r}")
     xmax = []
     for i in range(p):
         # weight of digit k in the blocked word starting at slot i is the

@@ -135,9 +135,10 @@ class DensitySpec(_Record):
 
 
 def default_truncation(B: float) -> int:
-    """Depth at which the discarded geometric tail drops below 1e-15."""
-    M = max(1, math.ceil(15.0 * math.log(10.0) / math.log(B)))
-    while B ** (-M) > SERIES_TAIL * (B - 1.0) and M < 100000:
+    """The least M >= 15 ln 10 / ln B with B^-M <= SERIES_TAIL * (B - 1), from its closed form."""
+    log_b, tail = math.log(B), SERIES_TAIL * (B - 1.0)
+    M = max(math.ceil(15.0 * math.log(10.0) / log_b), math.ceil(-math.log(tail) / log_b) - 2)
+    while B ** (-M) > tail:
         M += 1
     return M
 
@@ -348,15 +349,13 @@ def entropy(base: AlternateBase) -> float:
     return math.log(base.product) / base.p
 
 
-class IntervalMeasureQuery:
+class IntervalMeasureQuery(_Record):
     """A per-slot interval query for the product-space measure."""
 
     __slots__ = ("slot", "a", "b")
-
-    def __init__(self, slot: int, a: float, b: float):
-        self.slot = slot
-        self.a = a
-        self.b = b
+    slot: int
+    a: float
+    b: float
 
 
 def mu_product(base: AlternateBase, queries: list[IntervalMeasureQuery]) -> float:

@@ -237,10 +237,9 @@ def birkhoff_frequency(
 
 
 class EmpiricalStats(_Record):
-    __slots__ = ("counts", "iterations", "seed", "start")
+    __slots__ = ("counts", "iterations", "start")
     counts: tuple[int, ...]
     iterations: int
-    seed: Optional[int]
     start: StatePoint
 
 
@@ -267,4 +266,4 @@ def empirical_histogram(
         raise DomainError(f"slot {slot} outside [0, {base.p})")
     check_size(bins, "the histogram", "bin ")
     counts = _orbit_tally(base, x0, slot + N * base.p, -1, slot, bins)[1]
-    return EmpiricalStats(tuple(counts), N, None, StatePoint(0, x0))
+    return EmpiricalStats(tuple(counts), N, StatePoint(0, x0))

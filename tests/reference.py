@@ -29,7 +29,8 @@ construction; orbit_of_one_density_exact is the same construction in
 exact arithmetic.  cross_slot_residual is the one-step transfer-operator
 check between consecutive slots, which needs no composed map.
 quasi_greedy_one and is_greedy_word are the shift's admissibility test for
-greedy words, and count_greedy_words counts the words it accepts.
+greedy words, is_greedy_word_linear the same test with no suffix copies, and
+count_greedy_words counts the words it accepts.
 graph_rows_reference samples each branch of the graph against every cut of
 its slot.
 """
@@ -696,6 +697,23 @@ def is_greedy_word(base, word):
     N, p = len(word), base.p
     bounds = [quasi_greedy_one(base, j, N) for j in range(p)]
     return all(word[n:] <= bounds[n % p][: N - n] for n in range(N))
+
+
+def is_greedy_word_linear(base, word):
+    """is_greedy_word without copying a suffix: each one is walked digit by digit
+    against its bound and the walk stops at the first difference, so a word costs
+    time linear in its length unless its suffixes follow their bounds far.
+    """
+    N, p = len(word), base.p
+    bounds = [quasi_greedy_one(base, j, N) for j in range(p)]
+    for n in range(N):
+        bound = bounds[n % p]
+        for k in range(N - n):
+            if word[n + k] != bound[k]:
+                if word[n + k] > bound[k]:
+                    return False
+                break
+    return True
 
 
 def count_greedy_words(base, N):

@@ -458,11 +458,24 @@ class TestDeterminismAndErrors:
         assert peak < 20 * 2**20
 
     def test_every_error_type_has_an_exit_code(self):
-        types = [
-            t for t in vars(errors).values()
+        codes = {
+            name: t.exit_code for name, t in vars(errors).items()
             if isinstance(t, type) and issubclass(t, errors.AltBaseError) and t is not errors.AltBaseError
-        ]
-        assert errors.ParseError in types and all(t in cli._EXIT_CODES for t in types)
+        }
+        assert codes == {
+            "ParseError": 2, "DomainError": 3, "AlphabetError": 3, "NotAllowable": 3,
+            "SingularSystem": 4, "TruncationTooShallow": 4, "SearchTooLarge": 5,
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("entropy", "--base", "1e200,1e200", "--json"), ("expand", "--base", "1e308,10", "--x", "0.5")],
+        ids=lambda a: a[0],
+    )
+    def test_overflowing_period_product_exit(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: the product of the base components overflows to inf\n"
 
     def test_long_period_of_small_betas_builds(self, capsys):
         # 1.1^24 digit blocks number 2^24, but the period map has only 25 branches
@@ -475,19 +488,18 @@ class TestDeterminismAndErrors:
         assert code == 0
         assert json.loads(out)["payload"] == {"digit": 10**400, "frequency": 0.0}
 
-    def test_env_seed_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("ALTBASE_SEED", "31337")
-        _, out, _ = run(capsys, "freq", "--base", "2", "--digit", "1",
-                        "--empirical", "100", "--json")
-        assert json.loads(out)["payload"]["seed"] == 31337
-
-    def test_env_seed_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("ALTBASE_SEED", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["entropy", "--base", "2"])
-        out = capsys.readouterr()
-        assert (exc.value.code, out.out) == (2, "")
-        assert out.err == "error: ALTBASE_SEED must be an integer, got 'abc'\n"
+    def test_env_seed_is_ignored(self, capsys, monkeypatch):
+        # --seed alone sets the seed: ALTBASE_SEED, malformed or not, changes no exit code or output
+        argvs = [
+            ("entropy", "--base", "2"),
+            ("freq", "--base", "2", "--digit", "1", "--empirical", "100", "--json"),
+            ("freq", "--base", "2", "--digit", "1", "--empirical", "100", "--seed", "7", "--json"),
+        ]
+        plain = [run(capsys, *argv) for argv in argvs]
+        for value in ("abc", "31337"):
+            monkeypatch.setenv("ALTBASE_SEED", value)
+            assert [run(capsys, *argv) for argv in argvs] == plain
+        assert [json.loads(out)["payload"]["seed"] for _, out, _ in plain[1:]] == [0, 7]
 
 
 class TestRejectedCounts:

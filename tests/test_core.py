@@ -25,8 +25,16 @@ from altbase.core import (
 )
 from altbase.digitset import DigitSet, DisagreementReport, Witness
 from altbase.errors import AlphabetError, DomainError, SearchTooLarge
-from altbase.measure import DensitySpec, PiecewiseLinearMap, compose_map, gora_density
+from altbase.expr import parse_base_list
+from altbase.measure import (
+    DensitySpec,
+    IntervalMeasureQuery,
+    PiecewiseLinearMap,
+    compose_map,
+    gora_density,
+)
 from altbase.oracle import EmpiricalStats, SplitMix64, TupleSearchResult, lex_greatest
+from cli_golden import BASES as GOLDEN_BASES
 from helpers import BASE13_BETAS, PHI, SQRT13, base13, base_phi2, randint, random_base
 from reference import (
     evaluate_reference,
@@ -34,8 +42,11 @@ from reference import (
     greedy_expand_cantor_reference,
     greedy_expand_reference,
     greedy_step_reference,
+    is_greedy_word,
+    is_greedy_word_linear,
     lazy_expand_reference,
     lazy_step_reference,
+    quasi_greedy_one,
 )
 
 X5 = (1.0 + math.sqrt(5.0)) / 5.0
@@ -65,6 +76,13 @@ class TestNewBase:
             new_base((2.0, 1.0))
         with pytest.raises(DomainError):
             new_base((0.5,))
+
+    def test_rejects_an_overflowing_product(self):
+        for betas in [(1e200, 1e200), (1e308, 10.0)]:
+            with pytest.raises(DomainError, match="overflows"):
+                new_base(betas)
+        b = new_base((1e154, 1e154))
+        assert math.isfinite(b.product) and all(map(math.isfinite, b.xmax))
 
 
 class TestShift:
@@ -661,6 +679,32 @@ class TestInvariants:
         assert shift_base(shift_base(b, n), -n) == b
 
 
+class TestGreedyWordsAreAdmissible:
+    """Long greedy expansions pass the shift's suffix check against the expansions of 1."""
+
+    @pytest.mark.parametrize("text", GOLDEN_BASES)
+    def test_long_expansions_pass(self, text):
+        base = new_base(parse_base_list(text))
+        rng = SplitMix64(43)
+        for n, words in ((10**3, 10), (10**4, 2)):
+            for _ in range(words):
+                word = greedy_expand(base, rng.uniform(0.0, 1.0), n).digits
+                assert is_greedy_word_linear(base, word)
+                if n == 10**3:
+                    assert is_greedy_word(base, word)
+
+    def test_planted_suffix_is_rejected(self):
+        # from position 100 the word copies the bound of slot 100 for 20 digits or more and
+        # then exceeds it by one at a digit below its alphabet bound
+        base = base13()
+        word = list(greedy_expand(base, 0.3, 1000).digits)
+        bound = quasi_greedy_one(base, 100, 900)
+        k = next(k for k in range(20, 900) if bound[k] < base.alphabet(100 + k))
+        word[100 : 100 + k + 1] = bound[:k] + (bound[k] + 1,)
+        assert evaluate(base, DigitWord(tuple(word))) >= 0.0  # every digit within its alphabet
+        assert not is_greedy_word_linear(base, word) and not is_greedy_word(base, tuple(word))
+
+
 # One value of each record type: its field names, field values and repr.
 RECORDS = [
     (AlternateBase, ("betas", "product", "alphabets", "xmax"),
@@ -673,12 +717,12 @@ RECORDS = [
      (0, (), (), (), (1.0,), 1.0, 2.0, 51, (), ()),
      "DensitySpec(K=0, c=(), orbit=(), S=(), d=(1.0,), C=1.0, B=2.0, M=51, thresholds=(),"
      " weights=())"),
+    (IntervalMeasureQuery, ("slot", "a", "b"), (1, 0.25, 0.75),
+     "IntervalMeasureQuery(slot=1, a=0.25, b=0.75)"),
     (TupleSearchResult, ("digits", "value"), ((1, 0), 0.5),
      "TupleSearchResult(digits=(1, 0), value=0.5)"),
-    (EmpiricalStats, ("counts", "iterations", "seed", "start"),
-     ((3, 1), 4, None, StatePoint(0, 0.25)),
-     "EmpiricalStats(counts=(3, 1), iterations=4, seed=None,"
-     " start=StatePoint(slot=0, value=0.25))"),
+    (EmpiricalStats, ("counts", "iterations", "start"), ((3, 1), 4, StatePoint(0, 0.25)),
+     "EmpiricalStats(counts=(3, 1), iterations=4, start=StatePoint(slot=0, value=0.25))"),
     (DigitSet, ("digits", "beta"), ((0.0, 1.0), 2.0), "DigitSet(digits=(0.0, 1.0), beta=2.0)"),
     (Witness, ("x", "delta_image", "composed_image"), (0.25, 0.5, 0.75),
      "Witness(x=0.25, delta_image=0.5, composed_image=0.75)"),

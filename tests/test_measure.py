@@ -203,6 +203,31 @@ class TestGoraDensity:
         with pytest.raises(TruncationTooShallow):
             gora_density(compose_map(base_phi2(), 0), 3)
 
+    def test_default_truncation_is_the_least_depth_meeting_its_tail_rule(self):
+        def meets(B, M):
+            return B ** (-M) <= measure.SERIES_TAIL * (B - 1.0)
+
+        def stepped(B):  # the earlier rule: up from 15 ln 10 / ln B, one at a time, to a cap
+            M = max(1, math.ceil(15.0 * math.log(10.0) / math.log(B)))
+            while not meets(B, M) and M < 100000:
+                M += 1
+            return M
+
+        rng = SplitMix64(41)
+        checked = 0
+        for _ in range(2000):
+            B = 1.0 + 10.0 ** rng.uniform(-3.5, 3.0)
+            M, floor = measure.default_truncation(B), math.ceil(15.0 * math.log(10.0) / math.log(B))
+            assert meets(B, M) and (M == floor or not meets(B, M - 1))
+            earlier = stepped(B)
+            if meets(B, earlier):
+                assert M == earlier
+                checked += 1
+        assert checked > 1900
+        # below a slope of about 1.0004 the cap stopped the earlier rule short of its own check
+        assert not meets(1.0001, stepped(1.0001))
+        assert gora_density(compose_map(new_base((1.0001,)), 0)).M == 437514
+
     def test_correction_matrix_over_the_bound_is_refused(self, monkeypatch):
         # K equal branches of image top 1/2 all stop short of 1; 3162^2 <= 10^7 < 3163^2
         class Built(Exception):

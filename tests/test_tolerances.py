@@ -1,9 +1,10 @@
 """Every tolerance, bound and scale in the package is a named constant.
 
-A float literal below 1e-6 or above 1e6 in magnitude is a tolerance, a
-bound or a scale.  Written bare inside a function it is a magic number
-with no reason attached; it belongs in an UPPER_CASE module- or
-class-level assignment with a comment saying why it has its value.
+A float literal below 1e-6 or above 1e6 in magnitude, or an integer
+literal of magnitude 10^4 or more, is a tolerance, a bound or a scale.
+Written bare inside a function it is a magic number with no reason
+attached; it belongs in an UPPER_CASE module- or class-level assignment
+with a comment saying why it has its value.
 """
 
 import ast
@@ -15,11 +16,13 @@ CONSTANT_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def _extreme(value) -> bool:
+    if type(value) is int:
+        return abs(value) >= 10**4
     return type(value) is float and (0 < abs(value) < 1e-6 or abs(value) > 1e6)
 
 
-def bare_extreme_floats(tree: ast.Module) -> list[int]:
-    """Line numbers of extreme float literals outside named constants."""
+def bare_extreme_literals(tree: ast.Module) -> list[int]:
+    """Line numbers of extreme float and integer literals outside named constants."""
     named = set()
     scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
     for scope in scopes:
@@ -49,8 +52,11 @@ def test_checker_tells_named_from_bare():
         "def g(x):\n"
         "    lim = 1e7\n"
         "    return x > lim + 1e-6\n"
+        "CAP = 100000\n"
+        "def h(n):\n"
+        "    return 9999 < n < 10000 or n == -10**5 or n == -20000\n"
     )
-    assert bare_extreme_floats(ast.parse(src)) == [5, 7]
+    assert bare_extreme_literals(ast.parse(src)) == [5, 7, 11, 11]
 
 
 def test_no_bare_extreme_float_literals():
@@ -58,7 +64,7 @@ def test_no_bare_extreme_float_literals():
     assert paths
     found = {}
     for path in paths:
-        lines = bare_extreme_floats(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        lines = bare_extreme_literals(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if lines:
             found[path.name] = lines
     assert found == {}
