@@ -488,19 +488,25 @@ class TestDeterminismAndErrors:
         assert code == 0
         assert json.loads(out)["payload"] == {"digit": 10**400, "frequency": 0.0}
 
-    def test_env_seed_is_ignored(self, capsys, monkeypatch):
-        # --seed alone sets the seed: ALTBASE_SEED, malformed or not, changes no exit code or output
-        argvs = [
-            ("entropy", "--base", "2"),
-            ("freq", "--base", "2", "--digit", "1", "--empirical", "100", "--json"),
-            ("freq", "--base", "2", "--digit", "1", "--empirical", "100", "--seed", "7", "--json"),
-        ]
-        plain = [run(capsys, *argv) for argv in argvs]
-        for value in ("abc", "31337"):
-            monkeypatch.setenv("ALTBASE_SEED", value)
-            assert [run(capsys, *argv) for argv in argvs] == plain
+    ENV_SEED_ARGVS = [
+        ("entropy", "--base", "2"),
+        ("freq", "--base", "2", "--digit", "1", "--empirical", "100", "--json"),
+        ("freq", "--base", "2", "--digit", "1", "--empirical", "100", "--seed", "7", "--json"),
+    ]
+
+    def test_env_seed_default(self, capsys, monkeypatch):
+        # --seed alone sets the seed: ALTBASE_SEED sets no default and changes no output
+        plain = [run(capsys, *argv) for argv in self.ENV_SEED_ARGVS]
+        monkeypatch.setenv("ALTBASE_SEED", "31337")
+        assert [run(capsys, *argv) for argv in self.ENV_SEED_ARGVS] == plain
         assert [json.loads(out)["payload"]["seed"] for _, out, _ in plain[1:]] == [0, 7]
 
+    def test_env_seed_not_an_integer(self, capsys, monkeypatch):
+        # the variable is not read, so a malformed value changes no exit code or output
+        plain = [run(capsys, *argv) for argv in self.ENV_SEED_ARGVS]
+        monkeypatch.setenv("ALTBASE_SEED", "abc")
+        assert [run(capsys, *argv) for argv in self.ENV_SEED_ARGVS] == plain
+        assert [code for code, _, _ in plain] == [0, 0, 0]
 
 class TestRejectedCounts:
     """Explicit counts out of range fail with exit 3 instead of being replaced."""
