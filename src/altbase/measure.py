@@ -30,7 +30,8 @@ EPS_GEO = 1e-9
 SERIES_TAIL = 1e-15
 # pulled-back breakpoints this close to the last one or the branch end are that point
 MERGE_GAP = 1e-14
-# Id - S with a larger 1-norm condition number gives no trustworthy weights
+# Id - S with a larger 1-norm condition number gives no trustworthy weights; it is read
+# off the weight solve when the weights are positive, else from np.linalg.cond
 COND_MAX = 1e10
 
 
@@ -183,7 +184,8 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     right endpoint c_j; the truncated geometric series over the forward
     orbit of each c_j (left limits at breakpoints) yields the correction
     matrix S, the weights d and the normalization C.  A map with only onto
-    branches has the constant density 1.
+    branches has the constant density 1.  Weights y > 0 from (Id - S)^T y = 1
+    give the condition number without an inverse; np.linalg.cond decides otherwise.
     """
     B = map_.slope
     if M is None:
@@ -213,9 +215,16 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     powers = B ** -np.arange(1, M + 1)
     S = _correction_matrix(orbits, cs, powers)
     A = np.eye(K) - S
-    if np.linalg.cond(A, 1) > COND_MAX:
+    try:
+        y = np.linalg.solve(A.T, np.ones(K))
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    else:
+        # y > 0 makes the Z-matrix A an M-matrix with A^-1 >= 0, so |A^-1|_1 = max(y) (NaN fails)
+        cond = abs(A).sum(axis=0).max() * y.max() if y.min() > 0.0 else np.linalg.cond(A, 1)
+    if cond > COND_MAX:
         raise SingularSystem("Id - S is singular or too ill-conditioned")
-    dtail = np.linalg.solve(A.T, np.ones(K)).tolist()
+    dtail = y.tolist()
 
     C = 1.0
     thresholds = []

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import cli_golden
+import reference
 from altbase import core, measure
-from altbase.core import StatePoint, greedy_step, new_base
+from altbase.core import StatePoint, greedy_step, lazy_expand, lazy_step, new_base, phi
 from altbase.errors import (
     AlphabetError,
     DomainError,
@@ -938,6 +939,162 @@ class TestCrossSlotResidual:
             paper.append((ts, step_table(ts, vs, 0.0, bisect.bisect_right)))
         assert max(cross_slot_residual(base, gora)) <= CROSS_SLOT_L1
         assert max(cross_slot_residual(base, paper)) <= CROSS_SLOT_L1
+
+
+# relative gap allowed between |Id - S|_1 * max(y) and np.linalg.cond(Id - S, 1)
+CERTIFICATE_REL = 1e-12
+
+
+def _certificate_bases():
+    """The golden bases, random15-p8, three bases within 1e-9 of an integer and 200 seeded
+    random bases of periods 1 to 8."""
+    texts = cli_golden.BASES + ("2+1e-10", "2.000000001,1.5", "3+1.5e-12")
+    bases = [(text, new_base(parse_base_list(text))) for text in texts]
+    bases.append(("random15-p8", _orbit_random_bases()["random15-p8"]))
+    rng = SplitMix64(46)
+    for k in range(200):
+        p = 1 + k % 8
+        bases.append((f"random{k:03d}-p{p}", random_base(rng, p, p, hi=ORBIT_RANDOM_HI[p])))
+    return bases
+
+
+def _guarded_maps():
+    """Every slot map of the golden bases and of 40 seeded random bases, and slot 0 of
+    (1.5,)*14, where K = 302 and the inverse dominated the build."""
+    bases = [new_base(parse_base_list(t)) for t in cli_golden.BASES]
+    bases += _orbit_random_bases().values()
+    return [compose_map(b, slot) for b in bases for slot in range(b.p)] + [
+        compose_map(new_base((1.5,) * 14), 0)
+    ]
+
+
+class TestConditionCertificate:
+    """The weights y of (Id - S)^T y = 1 certify the condition number checked against COND_MAX.
+
+    S >= 0 makes Id - S a Z-matrix, and y > 0 then makes it an M-matrix with a
+    nonnegative inverse, whose 1-norm is max(y).
+    """
+
+    def test_weights_are_positive_and_give_the_condition_number(self):
+        checked = 0
+        for text, base in _certificate_bases():
+            for slot, spec in enumerate(slot_densities(base)):
+                if spec.K == 0:
+                    continue
+                y = np.array(spec.d[1:])
+                A = np.eye(spec.K) - spec.S
+                assert y.min() > 0.0, (text, slot)
+                cond = np.linalg.norm(A, 1) * y.max()
+                assert cond == pytest.approx(np.linalg.cond(A, 1), rel=CERTIFICATE_REL), (text, slot)
+                checked += 1
+        assert checked > 900
+
+    def test_no_inverse_is_taken(self, monkeypatch):
+        maps = _guarded_maps()
+        expected = [_density_outcome(gora_density_reference, m, None) for m in maps]
+        assert expected[-1][0] == 302  # K of (1.5,)*14 slot 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the weight solve certifies the condition number")
+
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        assert [_density_outcome(gora_density, m, None) for m in maps] == expected
+
+
+# slot 1 of 2.000000001,1.5 has K = 2 cuts
+K2_MAP = compose_map(new_base((2.000000001, 1.5)), 1)
+
+
+def _outcomes_with_matrix(monkeypatch, S, cond_calls):
+    """_density_outcome of the reference and of gora_density on K2_MAP with S in place of
+    the correction matrix; cond_calls counts gora_density's np.linalg.cond calls."""
+    assert len(_cuts(K2_MAP)) == len(S) == 2
+
+    def patch(orbits, cs, powers):
+        return S
+
+    monkeypatch.setattr(measure, "_correction_matrix", patch)
+    monkeypatch.setattr(reference, "_correction_matrix", patch)
+    expected = _density_outcome(gora_density_reference, K2_MAP, None)
+    cond = np.linalg.cond
+
+    def counted(*args):
+        cond_calls.append(args)
+        return cond(*args)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    return expected, _density_outcome(gora_density, K2_MAP, None)
+
+
+class TestUncertifiedWeights:
+    """Where the solve certifies nothing, the outcome is still the reference's."""
+
+    def test_singular_matrix_raises_from_the_solve(self, monkeypatch):
+        calls = []
+        expected, got = _outcomes_with_matrix(monkeypatch, np.eye(2), calls)
+        assert got == expected == ("SingularSystem", "Id - S is singular or too ill-conditioned")
+        assert calls == []
+
+    def test_negative_weights_take_np_linalg_cond(self, monkeypatch):
+        # spectral radius 2: the weights solve to -1, -1 and np.linalg.cond decides (it is 3)
+        calls = []
+        expected, got = _outcomes_with_matrix(monkeypatch, np.array([[0.0, 2.0], [2.0, 0.0]]), calls)
+        assert got == expected
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("eps, raises", [(1e-9, False), (1e-10, True)])
+    def test_certified_condition_number_on_either_side_of_cond_max(self, monkeypatch, eps, raises):
+        # the weights solve to about 1/eps each, so the condition number is about 2/eps
+        calls = []
+        S = np.array([[0.0, 1.0 - eps], [1.0 - eps, 0.0]])
+        expected, got = _outcomes_with_matrix(monkeypatch, S, calls)
+        assert got == expected
+        assert (got[0] == "SingularSystem") == raises
+        assert calls == []
+
+
+def _lazy_frequency(base, a):
+    """Lazy digit-a frequency: (1/p) times the sum over slots i of the greedy mass of m_i - a.
+
+    core.phi carries the lazy orbit onto a greedy one, and a lazy digit a at
+    slot i onto the greedy digit m_i - a.
+    """
+    total = 0.0
+    for spec, beta, m in zip(slot_densities(base), base.betas, base.alphabets):
+        if a <= m:
+            g = m - a
+            total += measure_interval(spec, g / beta, 1.0 if g == m else (g + 1) / beta)
+    return total / base.p
+
+
+LAZY_BASES = ["(1+sqrt(13))/2,(5+sqrt(13))/6", "1.3,2.7,1.9,3.4,1.15"]
+
+
+class TestLazyFrequency:
+    """The lazy system is the greedy one reflected by core.phi (ROADMAP item 6)."""
+
+    @pytest.mark.parametrize("text", LAZY_BASES)
+    def test_reflection_pairs_the_digits(self, text):
+        base = new_base(parse_base_list(text))
+        s = StatePoint(0, math.sqrt(2) - 1)
+        for _ in range(2000):
+            t, d = lazy_step(base, s)
+            g, e = greedy_step(base, phi(base, s))
+            assert e == base.alphabets[s.slot] - d
+            assert phi(base, g).value == pytest.approx(t.value, abs=1e-9)
+            s = t
+
+    @pytest.mark.parametrize("text", LAZY_BASES)
+    def test_matches_digit_counts_of_long_lazy_words(self, text):
+        base = new_base(parse_base_list(text))
+        n = 2 * 10**5
+        counts = np.bincount(lazy_expand(base, math.sqrt(2) - 1, n).digits)
+        freqs = [_lazy_frequency(base, a) for a in range(max(base.alphabets) + 1)]
+        assert sum(freqs) == pytest.approx(1.0, abs=1e-10)
+        assert counts / n == pytest.approx(freqs, abs=5e-3)
+        # the lazy frequencies are not the greedy ones
+        assert max(abs(f - frequency(base, a)) for a, f in enumerate(freqs)) > 0.05
 
 
 class TestCorrectionMatrixStorage:
