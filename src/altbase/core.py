@@ -164,7 +164,8 @@ class AlternateBase(_Record):
 def new_base(betas: Sequence[float]) -> AlternateBase:
     """Validate a tuple of bases and cache alphabets, product and suprema.
 
-    Every entry must be a finite real > 1, and so must their product.  The
+    Every entry must be a finite real > 1, not within EPS_SNAP of 1 (whose
+    alphabet would snap to {0}), and so must their product.  The
     supremum xmax[i] is computed in closed form as the value of the
     all-maximal digit word read cyclically from slot i, divided by (product - 1).
     """
@@ -174,6 +175,8 @@ def new_base(betas: Sequence[float]) -> AlternateBase:
     for b in bs:
         if not math.isfinite(b) or b <= 1.0:
             raise DomainError(f"base component {b!r} is not a real > 1")
+        if snap_ceil(b) == 1:
+            raise DomainError(f"base component {b!r} is within {EPS_SNAP:g} of 1: its only digit is 0")
     p = len(bs)
     # snap_ceil: a base a hair above an integer (expression float noise) counts as that integer
     alphabets = tuple(snap_ceil(b) - 1 for b in bs)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
+from itertools import cycle, islice
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -150,7 +151,11 @@ def _endpoint_orbits(map_: PiecewiseLinearMap, cs: list[float], M: int) -> list[
     A point within EPS_GEO of a breakpoint is pulled onto it, the lower
     neighbour first, by one bisect_left; a point on no breakpoint steps by its
     branch formula.  From breakpoint k the orbit goes on at the image top of
-    the branch ending at down[k], the lower one of two within EPS_GEO.
+    the branch ending at down[k], the lower one of two within EPS_GEO.  So the
+    points after a snap onto k depend on k alone, and an orbit that snaps onto
+    a breakpoint it met before (its cut's breakpoint counts as met before the
+    first point) has closed a cycle: the rest of its M points are copied from
+    the stretch since the first visit.
     """
     e = map_.endpoints
     n = len(e)
@@ -161,7 +166,10 @@ def _endpoint_orbits(map_: PiecewiseLinearMap, cs: list[float], M: int) -> list[
     nxt = [map_.branch_image_top(j - 1) if j else 0.0 for j in down]
     orbits = []
     for c in cs:
-        y = nxt[bisect_left(e, c)]  # every cut is a breakpoint
+        k = bisect_left(e, c)  # every cut is a breakpoint
+        y = nxt[k]
+        # where the points after each snapped breakpoint begin
+        start = {k: 0}
         orb = []
         for _ in range(M):
             k = bisect_left(e, y)
@@ -172,6 +180,10 @@ def _endpoint_orbits(map_: PiecewiseLinearMap, cs: list[float], M: int) -> list[
                 y = s * (y - lo[k])
                 continue
             orb.append(e[k])
+            if k in start:
+                orb += islice(cycle(orb[start[k]:]), M - len(orb))
+                break
+            start[k] = len(orb)
             y = nxt[k]
         orbits.append(tuple(orb))
     return orbits
@@ -226,21 +238,16 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
         raise SingularSystem("Id - S is singular or too ill-conditioned")
     dtail = y.tolist()
 
+    # flattened in (j, m) order; C adds left to right, since np.sum adds pairwise (other bits)
+    T = np.minimum(orbits, 1.0).ravel()
+    W = np.multiply.outer(y, powers).ravel()
     C = 1.0
-    thresholds = []
-    weights = []
-    pw = powers.tolist()
-    for dj, orb in zip(dtail, orbits):
-        for x, p in zip(orb, pw):
-            t = 1.0 if 1.0 < x else x  # min(x, 1.0), the same float object
-            w = dj * p
-            C += w * t
-            thresholds.append(t)
-            weights.append(w)
+    for v in (W * T).tolist():
+        C += v
     # argsort's default kind: another kind may put the weights of tied thresholds in another order
-    order = np.argsort(thresholds).tolist()
-    thresholds = tuple([thresholds[k] for k in order])
-    weights = tuple([weights[k] for k in order])
+    order = np.argsort(T)
+    thresholds = tuple(T[order].tolist())
+    weights = tuple(W[order].tolist())
     if C <= 0.0:
         raise SingularSystem(f"normalization constant came out nonpositive ({C!r})")
     return DensitySpec(K, tuple(cs), tuple(orbits), S, (1.0, *dtail), C, B, M, thresholds, weights)

@@ -247,8 +247,8 @@ class TestOrbitGraph:
 
 
 def _graph_bases():
-    """Golden bases, bases near an integer, the alphabet-0 base and random bases of periods 1-6."""
-    texts = list(cli_golden.BASES) + ["3+1e-13", "3-1e-13", "2+1e-12", "1+1e-13"]
+    """Golden bases, bases near an integer and random bases of periods 1-6."""
+    texts = list(cli_golden.BASES) + ["3+1e-13", "3-1e-13", "2+1e-12"]
     bases = [pytest.param(new_base(parse_base_list(t)), id=t) for t in texts]
     rng = SplitMix64(46)
     for p in range(1, 7):
@@ -277,7 +277,7 @@ class TestGraphRows:
         for kind in ("greedy", "lazy"):
             rows = _graph_csv_rows(tmp_path / f"g_{kind}.csv")
             assert rows == graph_rows_reference(base, kind, samples)
-            assert rows or base.alphabets == (0,)
+            assert rows
             # the closed form cmd_graph checks against the row bound
             assert len(rows) <= sum(samples * x + 4 * (m + 1) for x, m in zip(base.xmax, base.alphabets))
 
@@ -383,6 +383,16 @@ class TestDeterminismAndErrors:
     def test_domain_error_exit(self, capsys):
         code, _, _ = run(capsys, "expand", "--base", "0.5", "--x", "0.1")
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["density", "graph", "expand"])
+    def test_base_within_eps_snap_of_one_exit(self, capsys, tmp_path, command):
+        # its alphabet would snap to 0; density gave K = 0 at depth 645247554082256
+        # and expand printed zeros, both at exit 0
+        rest = {"density": ["--json"], "graph": ["--csv", str(tmp_path / "g.csv")], "expand": ["--x", "0"]}
+        code, out, err = run(capsys, command, "--base", "1+1e-13", *rest[command])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: base component 1.0000000000001 is within 1e-12 of 1")
+        assert not list(tmp_path.iterdir())
 
     def test_numeric_error_exit(self, capsys):
         code, _, _ = run(capsys, "density", "--base", "phi*phi", "--truncation", "2")
@@ -656,15 +666,15 @@ class TestNumpyImport:
         assert lines[2:] == ["density 0 True", "freq 0 True"]
 
 
-def _imported_modules(tmp_path, *args):
+def _imported_modules(tmp_path, *args, code=0):
     """Names of the modules that a child ``python -X importtime <args>`` imports."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True,
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
     )
+    assert proc.returncode == code, proc.stderr[-2000:]
     lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
     return {line.rsplit("|", 1)[1].strip() for line in lines}
 
@@ -682,6 +692,31 @@ def test_start_up_loads_no_inspect(tmp_path, args):
     loaded = _imported_modules(tmp_path, *args) - _imported_modules(tmp_path, "-c", "pass")
     assert "altbase.core" in loaded
     assert not {"dataclasses", "inspect"} & loaded
+
+
+# the README's command forms and the benchmark session's three error exits: (argv, exit code,
+# whether numpy loads); only a density solve needs it
+COMMAND_FORMS = {
+    "expand": (["expand", "--base", BASE13, "--x", "0.3", "--json"], 0, False),
+    "orbit": (["orbit", "--base", BASE13, "--x", "0.3", "--steps", "20", "--json"], 0, False),
+    "entropy": (["entropy", "--base", BASE13, "--json"], 0, False),
+    "compare": (["compare", "--base", BASE13, "--json"], 0, False),
+    "graph": (["graph", "--base", BASE13, "--csv", "g.csv", "--json"], 0, False),
+    "parse-error": (["expand", "--base", BASE13 + "+*2", "--x", "0.3"], 2, False),
+    "domain-error": (["expand", "--base", BASE13, "--x", "7.0"], 3, False),
+    "resource-error": (["compare", "--base", ",".join(["10"] * 8)], 5, False),
+    "density": (["density", "--base", BASE13, "--slot", "0", "--json"], 0, True),
+    "measure": (["measure", "--base", BASE13, "--slot", "0", "--interval", "0.1,0.5", "--json"], 0, True),
+    "freq": (["freq", "--base", BASE13, "--digit", "1", "--json"], 0, True),
+}
+
+
+@pytest.mark.parametrize("form", COMMAND_FORMS)
+def test_only_density_solves_load_numpy(tmp_path, form):
+    argv, code, loads = COMMAND_FORMS[form]
+    loaded = _imported_modules(tmp_path, "-m", "altbase.cli", *argv, code=code)
+    assert "altbase.core" in loaded
+    assert ("numpy" in loaded) == loads
 
 
 BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from altbase import core
 from altbase.core import (
+    EPS_SNAP,
     AlternateBase,
     CantorBaseStream,
     DigitWord,
@@ -76,6 +78,13 @@ class TestNewBase:
             new_base((2.0, 1.0))
         with pytest.raises(DomainError):
             new_base((0.5,))
+
+    def test_rejects_a_component_within_eps_snap_of_one(self):
+        # its alphabet would snap to 0, leaving every xmax at 0
+        for betas in [(1 + 1e-13,), (1 + 1e-12,), (2.5, 1 + 1e-13)]:
+            with pytest.raises(DomainError, match=re.escape(f"base component {betas[-1]!r} is within")):
+                new_base(betas)
+        assert new_base((1 + 2 * EPS_SNAP,)).alphabets == (1,)
 
     def test_rejects_an_overflowing_product(self):
         for betas in [(1e200, 1e200), (1e308, 10.0)]:

@@ -652,8 +652,19 @@ def _close_chain_map(chain, land):
     return PiecewiseLinearMap(ends + (chain[-1] + 1 / 3, 1.0), 3.0)
 
 
+# endpoint orbits that snap back onto a breakpoint they met before: Parry bases, and
+# 2+1e-10, whose orbit sticks on one breakpoint
+CYCLING_BASES = ("(1+sqrt(13))/2,(5+sqrt(13))/6", "phi,phi,sqrt(5)", "2+1e-10")
+
+
+def _returning_map():
+    """Slope 2 with breakpoints 0.5 and 0.8: the cut 0.8 goes to 0.6, 0.2, 0.4 and back onto 0.8."""
+    return PiecewiseLinearMap((0.0, 0.5, 0.8, 1.0), 2.0)
+
+
 class TestEndpointOrbitsMatchReference:
-    """One bisect per orbit point gives the one-_modified_step-per-point orbits bit for bit."""
+    """One bisect per orbit point gives the one-_modified_step-per-point orbits bit for bit;
+    so does copying the stretch since a repeated breakpoint."""
 
     @pytest.mark.parametrize("text", NAMED_BASES + ("2+1.5e-12",))
     def test_named_bases(self, text):
@@ -703,6 +714,41 @@ class TestEndpointOrbitsMatchReference:
         m = PiecewiseLinearMap((0.0, 0.3, 1.0), 2.5)
         assert gora_density(m).orbit[0][:3] == (0.75, 1.125, 2.0625)
         _assert_matches_reference(m)
+
+
+    @pytest.mark.parametrize("M", [None, 200, 10**4])
+    @pytest.mark.parametrize("text", CYCLING_BASES)
+    def test_cycling_bases(self, text, M):
+        base = new_base(parse_base_list(text))
+        for slot in range(base.p):
+            m = compose_map(base, slot)
+            _assert_matches_reference(m, M)
+            # the thresholds repeat with the orbits, so ties decide the argsort order
+            spec = gora_density(m, M)
+            assert spec.K > 0 and len(set(spec.thresholds)) * 10 < len(spec.thresholds)
+
+    @pytest.mark.parametrize("M", [None, 200, 10**4])
+    def test_orbit_returns_to_its_own_cut(self, M):
+        m = _returning_map()
+        assert _cuts(m) == [0.8, 1.0]
+        orbit = gora_density(m, M).orbit[0]
+        assert orbit[3] == 0.8 and orbit[4:8] == orbit[:4]
+        _assert_matches_reference(m, M)
+
+    def test_repeated_breakpoint_stops_the_stepping(self, monkeypatch):
+        # one bisect per point would be 3 * 10^4 on slot 0 of the sqrt(13) pair
+        m = compose_map(base13(), 0)
+        cs = _cuts(m)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bisect.bisect_left(*args)
+
+        monkeypatch.setattr(measure, "bisect_left", counted)
+        orbits = _endpoint_orbits(m, cs, 10**4)
+        assert len(cs) == 3 and len(calls) < 4 * len(cs)
+        assert [len(o) for o in orbits] == [10**4] * 3
 
 
 class TestComposeMapMatchesReference:
