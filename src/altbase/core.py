@@ -53,22 +53,20 @@ class _Record:
     A subclass names its fields (two or more, after any it inherits), in
     order, in ``__slots__``.  Instances take them positionally or by
     keyword, with ``_defaults`` for omitted ones, then run the ``_check``
-    hook.  ``==`` and ``hash`` go over the fields in order, leaving out those
-    named in ``_uncompared``; repr, pickle and copy use every field, and no
-    field can be set or deleted.  The standard library's record decorator
-    would do the same, but it imports ``inspect``, which adds about 25 ms to
-    every CLI process.
+    hook.  ``==``, ``hash``, repr, pickle and copy go over the fields in
+    order, and no field can be set or deleted.  The standard library's
+    record decorator would do the same, but it imports ``inspect``, which
+    adds about 25 ms to every CLI process.
     """
 
     __slots__ = ()
     _defaults: dict[str, object] = {}
-    _uncompared: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = getattr(cls, "_fields", ()) + cls.__dict__.get("__slots__", ())
         # each slot's own setter, which bypasses __setattr__
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
-        cls._key = attrgetter(*(f for f in cls._fields if f not in cls._uncompared))
+        cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         setters = self._setters

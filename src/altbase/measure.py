@@ -17,13 +17,9 @@ import operator
 from bisect import bisect_left, bisect_right
 from itertools import cycle, islice
 from numbers import Integral
-from typing import TYPE_CHECKING
 
 from .core import AlternateBase, _Record, check_size
 from .errors import AlphabetError, DomainError, SingularSystem, TruncationTooShallow
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # branch images within this distance of the codomain top count as onto, and
 # orbit points this close to a breakpoint are pulled onto it (left limits)
@@ -34,6 +30,9 @@ MERGE_GAP = 1e-14
 # Id - S with a larger 1-norm condition number gives no trustworthy weights; it is read
 # off the weight solve when the weights are positive, else from np.linalg.cond
 COND_MAX = 1e10
+# rounding in S, M terms each off by 2^-53, moves the weights by up to max(y) |S|_1 M 2^-53
+# relative; above this bound they are noise (K = 1 has cond 1, so COND_MAX cannot see it)
+FORWARD_ERROR_MAX = 1e-4
 
 
 class PiecewiseLinearMap(_Record):
@@ -116,18 +115,15 @@ class DensitySpec(_Record):
     The density is (1/C) * (d[0] + sum_j d[j] * sum_m chi_[0, orbit[j-1][m-1]]
     / B^m), truncated at depth M.  ``thresholds``/``weights`` hold the same
     data flattened and sorted for evaluation: the density at x is
-    (d[0] + sum of weights with threshold >= x) / C.  ``S`` is the K x K
-    correction matrix as a read-only float64 array (the empty tuple when
-    K == 0, so that all-onto maps need no numpy); it is left out of
-    equality and hashing, which ``d`` already decides.
+    (d[0] + sum of weights with threshold >= x) / C.  The K x K correction
+    matrix S that gives ``d`` is a step of the build and is not kept; it
+    follows from ``orbit``, ``c``, ``B`` and ``M``.
     """
 
-    __slots__ = ("K", "c", "orbit", "S", "d", "C", "B", "M", "thresholds", "weights")
-    _uncompared = ("S",)
+    __slots__ = ("K", "c", "orbit", "d", "C", "B", "M", "thresholds", "weights")
     K: int
     c: tuple[float, ...]
     orbit: tuple[tuple[float, ...], ...]
-    S: np.ndarray | tuple[()]
     d: tuple[float, ...]
     C: float
     B: float
@@ -195,9 +191,11 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     Branches whose image stops short of the codomain top contribute their
     right endpoint c_j; the truncated geometric series over the forward
     orbit of each c_j (left limits at breakpoints) yields the correction
-    matrix S, the weights d and the normalization C.  A map with only onto
-    branches has the constant density 1.  Weights y > 0 from (Id - S)^T y = 1
-    give the condition number without an inverse; np.linalg.cond decides otherwise.
+    matrix S, the weights d and the normalization C; S is not kept.  A map
+    with only onto branches has the constant density 1.  Weights y > 0 from
+    (Id - S)^T y = 1 give the condition number without an inverse;
+    np.linalg.cond decides otherwise.  Weights that rounding in S could move
+    by more than FORWARD_ERROR_MAX raise, whatever the condition number.
     """
     B = map_.slope
     if M is None:
@@ -215,8 +213,9 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     ]
     K = len(cs)
     if K == 0:
-        return DensitySpec(0, (), (), (), (1.0,), 1.0, B, M, (), ())
-    # the K x K arrays (80 MB each at the bound), then the K x M endpoint-orbit table
+        return DensitySpec(0, (), (), (1.0,), 1.0, B, M, (), ())
+    # S, turned into Id - S in place, and LAPACK's copy of it (80 MB each at the bound),
+    # then the K x M endpoint-orbit table
     check_size(K * K, "the K x K correction matrix", "entry ")
     check_size(K * M, "the K x M endpoint-orbit table", "entry ")
 
@@ -226,35 +225,44 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
 
     powers = B ** -np.arange(1, M + 1)
     S = _correction_matrix(orbits, cs, powers)
-    A = np.eye(K) - S
+    s_norm = S.sum(axis=0).max()  # |S|_1, as S >= 0
+    # Id - S in the buffer of S, the bits of np.eye(K) - S (signed zeros too)
+    A = np.subtract(0.0, S, out=S)
+    A.reshape(-1)[:: K + 1] += 1.0
     try:
         y = np.linalg.solve(A.T, np.ones(K))
     except np.linalg.LinAlgError:
-        cond = math.inf
+        cond = err = math.inf
     else:
+        y_max = y.max()
+        err = y_max * s_norm * M * 2.0**-53
         # y > 0 makes the Z-matrix A an M-matrix with A^-1 >= 0, so |A^-1|_1 = max(y) (NaN fails)
-        cond = abs(A).sum(axis=0).max() * y.max() if y.min() > 0.0 else np.linalg.cond(A, 1)
+        cond = np.abs(A, out=A).sum(axis=0).max() * y_max if y.min() > 0.0 else np.linalg.cond(A, 1)
     if cond > COND_MAX:
         raise SingularSystem("Id - S is singular or too ill-conditioned")
+    if err > FORWARD_ERROR_MAX:
+        raise SingularSystem(f"rounding in S may move the weights by {err:.3g} relative")
     dtail = y.tolist()
 
-    # flattened in (j, m) order; C adds left to right, since np.sum adds pairwise (other bits)
+    # flattened in (j, m) order
     T = np.minimum(orbits, 1.0).ravel()
     W = np.multiply.outer(y, powers).ravel()
-    C = 1.0
-    for v in (W * T).tolist():
-        C += v
     # argsort's default kind: another kind may put the weights of tied thresholds in another order
     order = np.argsort(T)
     thresholds = tuple(T[order].tolist())
     weights = tuple(W[order].tolist())
+    # C adds 1 and then each W * T left to right in (j, m) order, as np.add.accumulate does in
+    # W's buffer (np.sum adds pairwise, which gives other bits)
+    np.multiply(W, T, out=W)
+    W[0] += 1.0
+    C = float(np.add.accumulate(W, out=W)[-1])
     if C <= 0.0:
         raise SingularSystem(f"normalization constant came out nonpositive ({C!r})")
-    return DensitySpec(K, tuple(cs), tuple(orbits), S, (1.0, *dtail), C, B, M, thresholds, weights)
+    return DensitySpec(K, tuple(cs), tuple(orbits), (1.0, *dtail), C, B, M, thresholds, weights)
 
 
 def _correction_matrix(orbits, cs, powers):
-    """Read-only K x K array: S[i, j] sums powers[m] over orbit[i][m] > cs[j].
+    """K x K array: S[i, j] sums powers[m] over orbit[i][m] > cs[j].
 
     With orbit i sorted into ``ranked`` and r the number of its points at or
     below cs[j], those are the points at or above ranked[r] (none when
@@ -278,7 +286,6 @@ def _correction_matrix(orbits, cs, powers):
                 total = float(powers[hits >= ranked[r]].sum()) if r < M else 0.0
             row.append(total)
         S[i] = row
-    S.flags.writeable = False
     return S
 
 

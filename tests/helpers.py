@@ -2,6 +2,7 @@
 
 import math
 
+from altbase import measure
 from altbase.core import new_base
 from altbase.oracle import SplitMix64
 
@@ -17,6 +18,17 @@ def base13():
 
 def base_phi2():
     return new_base((PHI * PHI,))
+
+
+def correction_matrix(spec):
+    """The K x K correction matrix S behind a DensitySpec's weights, as gora_density builds it.
+
+    A DensitySpec does not keep S; the production kernel rebuilds it from
+    the orbits, cuts, slope and depth that the spec does keep.
+    """
+    import numpy as np
+
+    return measure._correction_matrix(spec.orbit, spec.c, spec.B ** -np.arange(1, spec.M + 1))
 
 
 def randint(rng: SplitMix64, lo: int, hi: int) -> int:

@@ -14,7 +14,8 @@ dedup loop digit_set_reference and suffix_min_reference.  The endpoint
 orbits of the density take one _modified_step call (two snaps by
 snap_to_breakpoints_reference, three bisects) per point, and
 gora_density_reference builds the whole DensitySpec around them, with its
-normalisation indexed per entry.  The greedy and lazy steps are the
+normalisation indexed per entry, and returns its correction matrix S beside
+the spec, which does not keep it.  The greedy and lazy steps are the
 one-call-per-digit versions (a StatePoint per step, every state clamped and
 checked, slots taken mod p) that the expansions, evaluate and the period
 value behind compare_transforms must equal; greedy_digit_reference is the
@@ -66,6 +67,7 @@ from altbase.digitset import (
 from altbase.measure import (
     COND_MAX,
     EPS_GEO,
+    FORWARD_ERROR_MAX,
     MERGE_GAP,
     SERIES_TAIL,
     DensitySpec,
@@ -249,6 +251,7 @@ def endpoint_orbits_reference(map_, cs, M):
 
 
 def gora_density_reference(map_, M=None):
+    """(spec, S): the DensitySpec of the map and the correction matrix behind its weights."""
     B = map_.slope
     if M is None:
         M = default_truncation(B)
@@ -265,7 +268,7 @@ def gora_density_reference(map_, M=None):
     ]
     K = len(cs)
     if K == 0:
-        return DensitySpec(0, (), (), (), (1.0,), 1.0, B, M, (), ())
+        return DensitySpec(0, (), (), (1.0,), 1.0, B, M, (), ()), np.zeros((0, 0))
     orbits = endpoint_orbits_reference(map_, cs, M)
     powers = B ** -np.arange(1, M + 1)
     S = _correction_matrix(orbits, cs, powers)
@@ -273,6 +276,9 @@ def gora_density_reference(map_, M=None):
     if np.linalg.cond(A, 1) > COND_MAX:
         raise SingularSystem("Id - S is singular or too ill-conditioned")
     dtail = np.linalg.solve(A.T, np.ones(K))
+    err = dtail.max() * np.linalg.norm(S, 1) * M * 2.0**-53
+    if err > FORWARD_ERROR_MAX:
+        raise SingularSystem(f"rounding in S may move the weights by {err:.3g} relative")
     d = (1.0,) + tuple(float(v) for v in dtail)
     C = 1.0
     thresholds = []
@@ -290,7 +296,7 @@ def gora_density_reference(map_, M=None):
     weights = tuple(float(weights[k]) for k in order)
     if C <= 0.0:
         raise SingularSystem(f"normalization constant came out nonpositive ({C!r})")
-    return DensitySpec(K, tuple(cs), tuple(orbits), S, d, C, B, M, thresholds, weights)
+    return DensitySpec(K, tuple(cs), tuple(orbits), d, C, B, M, thresholds, weights), S
 
 
 def _compose_reference(outer, inner):

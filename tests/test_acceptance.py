@@ -34,7 +34,7 @@ from altbase.measure import (
     slot_densities,
 )
 from altbase.oracle import SplitMix64, birkhoff_frequency, empirical_histogram, lex_greatest, lex_least
-from helpers import PHI, SQRT13, base13, randint, random_base
+from helpers import PHI, SQRT13, base13, correction_matrix, randint, random_base
 from reference import nondecreasing_bruteforce, one_base_map_reference
 
 X5 = (1.0 + math.sqrt(5.0)) / 5.0
@@ -70,7 +70,7 @@ def test_criterion_03_gora_example():
     spec = gora_density(compose_map(b, 0))
     b0 = b.betas[0]
     ok = spec.K == 3
-    ok = ok and max((abs(v) for row in spec.S for v in row), default=0.0) < 1e-15
+    ok = ok and max((abs(v) for row in correction_matrix(spec) for v in row), default=0.0) < 1e-15
     ok = ok and all(abs(dv - 1.0) < 1e-12 for dv in spec.d)
     ok = ok and abs(spec.C - (1 + 3 / b0**2)) < 1e-12
     got = measure_interval(spec, 0.0, 1 / b0)

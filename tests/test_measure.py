@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,16 @@ from altbase.measure import (
     slot_densities,
 )
 from altbase.oracle import SplitMix64, birkhoff_frequency
-from helpers import BASE13_BETAS, PHI, SQRT13, base13, base_phi2, randint, random_base
+from helpers import (
+    BASE13_BETAS,
+    PHI,
+    SQRT13,
+    base13,
+    base_phi2,
+    correction_matrix,
+    randint,
+    random_base,
+)
 from reference import (
     branch_of_reference,
     compose_map_reference,
@@ -156,13 +166,13 @@ class TestGoraDensity:
         b0 = b.betas[0]
         assert spec.K == 3
         assert spec.c == pytest.approx((1 / b0, 2 / b0, 1.0), abs=1e-12)
-        assert max(abs(v) for row in spec.S for v in row) < 1e-15
+        assert max(abs(v) for row in correction_matrix(spec) for v in row) < 1e-15
         assert spec.d == pytest.approx((1.0, 1.0, 1.0, 1.0), abs=1e-12)
         assert spec.C == pytest.approx(1 + 3 / b0**2, abs=1e-12)
 
     def test_onto_map_is_uniform(self):
         spec = gora_density(compose_map(new_base((2,)), 0))
-        assert (spec.K, spec.S) == (0, ())
+        assert (spec.K, spec.c, spec.orbit) == (0, (), ())
         assert spec.C == 1.0
         assert density_eval(spec, 0.7321) == 1.0
 
@@ -261,11 +271,12 @@ class TestGoraDensity:
         rng = SplitMix64(29)
         for _ in range(20):
             spec = gora_density(compose_map(random_base(rng, pmax=4), 0))
-            for row in spec.S:
+            S = correction_matrix(spec)
+            for row in S:
                 for entry in row:
                     assert 0.0 <= entry <= 1 / (spec.B - 1)
             for i in range(spec.K):
-                lhs = spec.d[i + 1] - sum(spec.S[j][i] * spec.d[j + 1] for j in range(spec.K))
+                lhs = spec.d[i + 1] - sum(S[j][i] * spec.d[j + 1] for j in range(spec.K))
                 assert abs(lhs - 1.0) < 1e-9
 
 
@@ -527,7 +538,7 @@ class TestLookupsMatchSearchsorted:
     def test_duplicated_thresholds(self):
         t = (0.0, 0.25, 0.5, 0.5, 0.5, 0.75, 0.75)
         w = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125)
-        spec = DensitySpec(1, (0.5,), (t,), ((0.0,),), (1.0, 1.0), 1.7, 2.0, len(t), t, w)
+        spec = DensitySpec(1, (0.5,), (t,), (1.0, 1.0), 1.7, 2.0, len(t), t, w)
         pts = _with_neighbours(t + (1.0,))
         for x in pts:
             if 0.0 <= x < 1.0:
@@ -576,15 +587,13 @@ class TestCorrectionMatrix:
         for slot in range(base.p):
             m = compose_map(base, slot)
             spec = gora_density(m)
-            if spec.K == 0:
-                assert spec.S == ()
-                continue
+            S = correction_matrix(spec)
             ref = correction_matrix_reference(spec.orbit, spec.c, spec.B, spec.M)
-            assert spec.S.shape == ref.shape and spec.S.tobytes() == ref.tobytes()
+            assert S.shape == ref.shape == (spec.K, spec.K) and S.tobytes() == ref.tobytes()
+            # the build turns its S into Id - S in place, so it gets a copy
             with monkeypatch.context() as mp:
-                mp.setattr(measure, "_correction_matrix", lambda orbits, cs, powers: ref)
+                mp.setattr(measure, "_correction_matrix", lambda orbits, cs, powers: ref.copy())
                 rebuilt = gora_density(m)
-            assert rebuilt.S is ref
             assert (rebuilt.d, rebuilt.C) == (spec.d, spec.C)
             assert (rebuilt.thresholds, rebuilt.weights) == (spec.thresholds, spec.weights)
 
@@ -600,9 +609,8 @@ def _float_bits(values):
     return tuple(float(v).hex() for v in values)
 
 
-def _spec_bits(spec):
-    """Every field of a DensitySpec, floats as hex; S as its shape and entries."""
-    S = np.asarray(spec.S)
+def _spec_bits(spec, S):
+    """Every field of a DensitySpec, floats as hex, then S as its shape and entries."""
     return (
         spec.K, spec.M, spec.B.hex(), spec.C.hex(), _float_bits(spec.c),
         tuple(_float_bits(o) for o in spec.orbit), _float_bits(spec.d),
@@ -610,9 +618,17 @@ def _spec_bits(spec):
     )
 
 
+def _with_matrix(m, M=None):
+    """gora_density's spec and the S that helpers.correction_matrix rebuilds for it, as the
+    reference returns them."""
+    spec = gora_density(m, M)
+    return spec, correction_matrix(spec)
+
+
 def _density_outcome(build, m, M):
+    """_spec_bits of what build returns, or the type and message of the error it raises."""
     try:
-        return _spec_bits(build(m, M))
+        return _spec_bits(*build(m, M))
     except (SingularSystem, TruncationTooShallow) as e:
         return type(e).__name__, str(e)
 
@@ -623,7 +639,7 @@ def _cuts(m):
 
 
 def _assert_matches_reference(m, M=None):
-    assert _density_outcome(gora_density, m, M) == _density_outcome(gora_density_reference, m, M)
+    assert _density_outcome(_with_matrix, m, M) == _density_outcome(gora_density_reference, m, M)
     depth = M or measure.default_truncation(m.slope)
     got = _endpoint_orbits(m, _cuts(m), depth)
     assert tuple(_float_bits(o) for o in got) == tuple(
@@ -1028,7 +1044,7 @@ class TestConditionCertificate:
                 if spec.K == 0:
                     continue
                 y = np.array(spec.d[1:])
-                A = np.eye(spec.K) - spec.S
+                A = np.eye(spec.K) - correction_matrix(spec)
                 assert y.min() > 0.0, (text, slot)
                 cond = np.linalg.norm(A, 1) * y.max()
                 assert cond == pytest.approx(np.linalg.cond(A, 1), rel=CERTIFICATE_REL), (text, slot)
@@ -1045,7 +1061,7 @@ class TestConditionCertificate:
 
         monkeypatch.setattr(np.linalg, "cond", refuse)
         monkeypatch.setattr(np.linalg, "inv", refuse)
-        assert [_density_outcome(gora_density, m, None) for m in maps] == expected
+        assert [_density_outcome(_with_matrix, m, None) for m in maps] == expected
 
 
 # slot 1 of 2.000000001,1.5 has K = 2 cuts
@@ -1058,7 +1074,7 @@ def _outcomes_with_matrix(monkeypatch, S, cond_calls):
     assert len(_cuts(K2_MAP)) == len(S) == 2
 
     def patch(orbits, cs, powers):
-        return S
+        return S.copy()  # gora_density overwrites its S
 
     monkeypatch.setattr(measure, "_correction_matrix", patch)
     monkeypatch.setattr(reference, "_correction_matrix", patch)
@@ -1070,7 +1086,7 @@ def _outcomes_with_matrix(monkeypatch, S, cond_calls):
         return cond(*args)
 
     monkeypatch.setattr(np.linalg, "cond", counted)
-    return expected, _density_outcome(gora_density, K2_MAP, None)
+    return expected, _density_outcome(_with_matrix, K2_MAP, None)
 
 
 class TestUncertifiedWeights:
@@ -1144,28 +1160,141 @@ class TestLazyFrequency:
 
 
 class TestCorrectionMatrixStorage:
-    def test_read_only_array(self):
+    """A DensitySpec keeps no K x K array; tests rebuild S with helpers.correction_matrix."""
+
+    def test_spec_holds_no_matrix(self):
         spec = gora_density(compose_map(new_base((1.3, 2.7, 1.9, 3.4, 1.15)), 0))
-        assert isinstance(spec.S, np.ndarray)
-        assert (spec.S.ndim, spec.S.dtype, spec.S.shape) == (2, np.float64, (spec.K, spec.K))
-        with pytest.raises(ValueError):
-            spec.S[0, 0] = 1.0
+        assert spec.K > 0 and "S" not in DensitySpec._fields
+        assert all(type(getattr(spec, name)) in (int, float, tuple) for name in DensitySpec._fields)
+        S = correction_matrix(spec)
+        assert (S.ndim, S.dtype, S.shape) == (2, np.float64, (spec.K, spec.K))
 
     def test_separate_builds_equal_and_hash_equal(self):
         m = compose_map(new_base((PHI, PHI, math.sqrt(5))), 1)
         first, second = gora_density(m), gora_density(m)
-        assert first.S is not second.S
+        assert first is not second
         assert first == second
         assert hash(first) == hash(second)
 
-    def test_matrix_is_left_out_of_equality_only(self):
+    def test_every_field_is_compared(self):
         spec = gora_density(compose_map(new_base((PHI, PHI, math.sqrt(5))), 1))
-        fields = ("K", "c", "orbit", "S", "d", "C", "B", "M", "thresholds", "weights")
-        values = {name: getattr(spec, name) for name in fields}
-        other_s = DensitySpec(**{**values, "S": np.zeros_like(spec.S)})
-        assert other_s == spec and hash(other_s) == hash(spec)
-        assert DensitySpec(**{**values, "C": spec.C * 2}) != spec
-        assert repr(other_s) != repr(spec)  # S is still shown
+        values = {name: getattr(spec, name) for name in DensitySpec._fields}
+        twin = DensitySpec(**values)
+        assert twin == spec and hash(twin) == hash(spec)
+        changed = {
+            "K": spec.K + 1, "c": spec.c[1:], "orbit": spec.orbit[1:], "d": spec.d[1:],
+            "C": spec.C * 2, "B": spec.B * 2, "M": spec.M + 1,
+            "thresholds": spec.thresholds[1:], "weights": spec.weights[1:],
+        }
+        assert changed.keys() == values.keys()
+        for name, value in changed.items():
+            assert DensitySpec(**{**values, name: value}) != spec, name
+
+
+# K = 1 with cut 1/phi^2, whose orbit 1/phi, 1/phi^2, ... gives S = sum of phi^-(2m+1) = 1:
+# Id - S is singular, but in floats 1 - S is 4.4e-16 and its condition number is 1
+PHI_SINGULAR_MAP = PiecewiseLinearMap((0.0, 1 - 1 / PHI, 1.0), PHI)
+# the forward-error bounds of real bases stay below this (2.3e-14 on 3,000 benchmark bases)
+FORWARD_ERROR_SEEN = 1e-12
+
+
+def _forward_error(spec):
+    """max(y) |S|_1 M 2^-53, the bound gora_density checks against FORWARD_ERROR_MAX."""
+    return max(spec.d[1:]) * np.linalg.norm(correction_matrix(spec), 1) * spec.M * 2.0**-53
+
+
+class TestForwardErrorGate:
+    """Weights that rounding in S could move by more than FORWARD_ERROR_MAX raise."""
+
+    def test_singular_k1_map_raises(self):
+        got = _density_outcome(_with_matrix, PHI_SINGULAR_MAP, None)
+        assert got == _density_outcome(gora_density_reference, PHI_SINGULAR_MAP, None)
+        assert got[0] == "SingularSystem" and got[1].startswith("rounding in S may move")
+        assert SingularSystem.exit_code == 4
+
+    def test_real_bases_stay_far_below_the_gate(self):
+        bounds = [
+            _forward_error(spec)
+            for _, base in _certificate_bases()
+            for spec in slot_densities(base)
+            if spec.K
+        ]
+        assert len(bounds) > 900
+        assert max(bounds) < FORWARD_ERROR_SEEN < measure.FORWARD_ERROR_MAX
+
+    def test_gate_compares_the_bound(self, monkeypatch):
+        m = compose_map(base13(), 1)
+        bound = _forward_error(gora_density(m))
+        monkeypatch.setattr(measure, "FORWARD_ERROR_MAX", bound)
+        gora_density(m)
+        monkeypatch.setattr(measure, "FORWARD_ERROR_MAX", bound * (1 - 1e-9))
+        with pytest.raises(SingularSystem, match="rounding in S"):
+            gora_density(m)
+
+
+def _left_to_right_normalisation(spec):
+    """1 plus every weight times its threshold, added one at a time in (j, m) order."""
+    powers = spec.B ** -np.arange(1, spec.M + 1)
+    T = np.minimum(spec.orbit, 1.0).ravel()
+    W = np.multiply.outer(spec.d[1:], powers).ravel()
+    C = 1.0
+    for v in (W * T).tolist():
+        C += v
+    return C
+
+
+class TestNormalisationSum:
+    """C is the left-to-right sum, taken by np.add.accumulate without a list of floats."""
+
+    def test_matches_the_left_to_right_loop(self):
+        checked = 0
+        for _, base in BITWISE_BASES:
+            for spec in slot_densities(base):
+                assert spec.C.hex() == _left_to_right_normalisation(spec).hex()
+                checked += spec.K > 0
+        assert checked > 100
+
+    def test_accumulate_adds_left_to_right(self):
+        rng = np.random.default_rng(26)
+        for n in (1, 2, 3, 7, 100, 1001, 20000):
+            for signs in (1.0, rng.choice((-1.0, 1.0), n)):
+                values = signs * 10.0 ** rng.uniform(-11.0, 11.0, n)
+                total = 0.0
+                for v in values.tolist():
+                    total += v
+                assert np.add.accumulate(values)[-1].hex() == total.hex()
+
+
+def _traced(call):
+    """(result, held bytes, peak bytes) that tracemalloc sees while call() runs."""
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+PERIOD8 = (1.3, 2.7, 1.9, 3.4, 1.15, 2.2, 1.7, 2.9)
+
+
+class TestBuildMemory:
+    """A build holds Id - S and LAPACK's copy at most, and a spec holds no K x K array."""
+
+    def test_period8_specs_hold_under_2_mib(self):
+        slot_densities(new_base((1.5, 2.5)))  # loads what a first build loads
+        specs, held, _ = _traced(lambda: slot_densities(new_base(PERIOD8)))
+        assert sum(s.K**2 for s in specs) == 386526
+        assert held < 2 * 2**20
+
+    def test_one_build_peaks_under_two_matrices(self):
+        m = compose_map(new_base(PERIOD8), 5)
+        gora_density(compose_map(new_base((1.5, 2.5)), 0))
+        spec, _, peak = _traced(lambda: gora_density(m))
+        assert spec.K == 304
+        assert peak < 2 * spec.K**2 * 8
 
 
 # The child prints the numpy submodules loaded by the density build, the

@@ -53,7 +53,7 @@ def _clamped_spec():
     """A hand-made spec with tied thresholds and three clamped to 1.0."""
     t = (0.0, 0.125, 0.5, 0.5, 0.75, 1.0, 1.0, 1.0)
     w = (0.5, -0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625)
-    return DensitySpec(1, (0.5,), (t,), ((0.0,),), (1.0, 1.0), 1.5, 2.0, len(t), t, w)
+    return DensitySpec(1, (0.5,), (t,), (1.0, 1.0), 1.5, 2.0, len(t), t, w)
 
 
 @pytest.fixture(scope="module")
