@@ -19,7 +19,8 @@ import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 
-from . import core, digitset, measure, oracle
+# measure, digitset and oracle are imported only by the commands that use them
+import altbase.core as core
 from .core import EPS_SNAP, AlternateBase, StatePoint, check_size
 from .errors import AltBaseError, DomainError, ParseError
 from .expr import _parse_list, parse_base_list, parse_expression
@@ -154,6 +155,7 @@ def cmd_expand(args) -> _Output:
 
 
 def cmd_density(args) -> _Output:
+    import altbase.measure as measure
     _check_at_least("--samples", args.samples, 1)
     base = _parse_base(args)
     pw = measure.compose_map(base, args.slot)
@@ -191,6 +193,7 @@ def _parse_interval(text: str) -> tuple[float, ...]:
 
 
 def cmd_measure(args) -> _Output:
+    import altbase.measure as measure
     base = _parse_base(args)
     a, b = _parse_interval(args.interval)
     spec = measure.gora_density(measure.compose_map(base, args.slot), args.truncation)
@@ -200,6 +203,10 @@ def cmd_measure(args) -> _Output:
 
 
 def cmd_freq(args) -> _Output:
+    import altbase.measure as measure
+    if args.empirical is not None:
+        # compiled before the density solve loads numpy, so it adds nothing to the peak RSS
+        import altbase.oracle as oracle
     base = _parse_base(args)
     x0 = None if args.x0 is None else parse_expression(args.x0)
     value = measure.frequency(base, args.digit)
@@ -215,12 +222,14 @@ def cmd_freq(args) -> _Output:
 
 
 def cmd_entropy(args) -> _Output:
+    import altbase.measure as measure
     base = _parse_base(args)
     value = measure.entropy(base)
     return base, {"entropy": value}, [f"entropy: {_fmt(value)}"]
 
 
 def cmd_compare(args) -> _Output:
+    import altbase.digitset as digitset
     base = _parse_base(args)
     report = digitset.compare_transforms(base)
     payload = {

@@ -683,7 +683,8 @@ def _imported_modules(tmp_path, *args, code=0):
     "args",
     [
         ["-m", "altbase.cli", "expand", "--base", BASE13, "--x", "0.3", "--json"],
-        ["-c", "import altbase"],
+        # the first lookup loads the whole library
+        ["-c", "import altbase; altbase.new_base"],
     ],
     ids=["cli-expand", "import-altbase"],
 )
@@ -695,27 +696,38 @@ def test_start_up_loads_no_inspect(tmp_path, args):
 
 
 # the README's command forms and the benchmark session's three error exits: (argv, exit code,
-# whether numpy loads); only a density solve needs it
+# whether numpy loads, the altbase modules it loads besides CLI_MODULES); only a density solve
+# needs numpy, and each command imports only the modules it uses
+CLI_MODULES = {"altbase", "altbase.core", "altbase.errors", "altbase.expr"}
 COMMAND_FORMS = {
-    "expand": (["expand", "--base", BASE13, "--x", "0.3", "--json"], 0, False),
-    "orbit": (["orbit", "--base", BASE13, "--x", "0.3", "--steps", "20", "--json"], 0, False),
-    "entropy": (["entropy", "--base", BASE13, "--json"], 0, False),
-    "compare": (["compare", "--base", BASE13, "--json"], 0, False),
-    "graph": (["graph", "--base", BASE13, "--csv", "g.csv", "--json"], 0, False),
-    "parse-error": (["expand", "--base", BASE13 + "+*2", "--x", "0.3"], 2, False),
-    "domain-error": (["expand", "--base", BASE13, "--x", "7.0"], 3, False),
-    "resource-error": (["compare", "--base", ",".join(["10"] * 8)], 5, False),
-    "density": (["density", "--base", BASE13, "--slot", "0", "--json"], 0, True),
-    "measure": (["measure", "--base", BASE13, "--slot", "0", "--interval", "0.1,0.5", "--json"], 0, True),
-    "freq": (["freq", "--base", BASE13, "--digit", "1", "--json"], 0, True),
+    "expand": (["expand", "--base", BASE13, "--x", "0.3", "--json"], 0, False, ()),
+    "orbit": (["orbit", "--base", BASE13, "--x", "0.3", "--steps", "20", "--json"], 0, False, ()),
+    "entropy": (["entropy", "--base", BASE13, "--json"], 0, False, ("measure",)),
+    "compare": (["compare", "--base", BASE13, "--json"], 0, False, ("digitset",)),
+    "graph": (["graph", "--base", BASE13, "--csv", "g.csv", "--json"], 0, False, ()),
+    "parse-error": (["expand", "--base", BASE13 + "+*2", "--x", "0.3"], 2, False, ()),
+    "domain-error": (["expand", "--base", BASE13, "--x", "7.0"], 3, False, ()),
+    "resource-error": (["compare", "--base", ",".join(["10"] * 8)], 5, False, ("digitset",)),
+    "density": (["density", "--base", BASE13, "--slot", "0", "--json"], 0, True, ("measure",)),
+    "measure": (
+        ["measure", "--base", BASE13, "--slot", "0", "--interval", "0.1,0.5", "--json"],
+        0, True, ("measure",),
+    ),
+    "freq": (["freq", "--base", BASE13, "--digit", "1", "--json"], 0, True, ("measure",)),
+    "freq-empirical": (
+        ["freq", "--base", BASE13, "--digit", "1", "--empirical", "1000", "--json"],
+        0, True, ("measure", "oracle"),
+    ),
 }
 
 
 @pytest.mark.parametrize("form", COMMAND_FORMS)
 def test_only_density_solves_load_numpy(tmp_path, form):
-    argv, code, loads = COMMAND_FORMS[form]
+    argv, code, loads, extra = COMMAND_FORMS[form]
     loaded = _imported_modules(tmp_path, "-m", "altbase.cli", *argv, code=code)
-    assert "altbase.core" in loaded
+    assert {m for m in loaded if m.split(".")[0] == "altbase"} == CLI_MODULES | {
+        f"altbase.{m}" for m in extra
+    }
     assert ("numpy" in loaded) == loads
 
 

@@ -1159,6 +1159,32 @@ class TestLazyFrequency:
         assert max(abs(f - frequency(base, a)) for a, f in enumerate(freqs)) > 0.05
 
 
+class TestLazyDensity:
+    """Slot i's lazy density is the greedy one reflected, x -> xmax_i - x (ROADMAP item 6)."""
+
+    BINS = 32
+    POINTS_PER_SLOT = 5 * 10**4
+    BURN_IN = 100  # steps that carry the start into the support (xmax_i - 1, xmax_i]
+
+    @pytest.mark.parametrize("text", LAZY_BASES)
+    def test_orbit_histograms_match_the_reflected_greedy_mass(self, text):
+        base = new_base(parse_base_list(text))
+        s = StatePoint(0, math.sqrt(2) - 1)
+        for _ in range(self.BURN_IN * base.p):
+            s, _ = lazy_step(base, s)
+        points = [[] for _ in range(base.p)]
+        for _ in range(self.POINTS_PER_SLOT * base.p):
+            points[s.slot].append(s.value)
+            s, _ = lazy_step(base, s)
+        offsets = np.arange(self.BINS + 1) / self.BINS
+        for spec, top, xs in zip(slot_densities(base), base.xmax, points):
+            counts, _ = np.histogram(xs, bins=top - 1.0 + offsets)
+            assert len(xs) == self.POINTS_PER_SLOT and counts.sum() == len(xs)
+            # bin (top - 1 + a, top - 1 + b] reflects onto [1 - b, 1 - a)
+            mass = [measure_interval(spec, 1.0 - b, 1.0 - a) for a, b in zip(offsets, offsets[1:])]
+            assert counts / len(xs) == pytest.approx(mass, abs=5e-3)
+
+
 class TestCorrectionMatrixStorage:
     """A DensitySpec keeps no K x K array; tests rebuild S with helpers.correction_matrix."""
 
