@@ -9,9 +9,9 @@ attribute reads; the import system's per-module locks make it thread-safe.
 # each submodule and the public names the package takes from it
 _EXPORTS = {
     "core": (
-        "AlternateBase", "CantorBaseStream", "DigitWord", "StatePoint", "evaluate", "greedy_expand",
-        "greedy_expand_cantor", "greedy_step", "lazy_expand", "lazy_step", "new_base", "phi",
-        "shift_base",
+        "AlternateBase", "CantorBaseStream", "DigitWord", "StatePoint", "entropy", "evaluate",
+        "greedy_expand", "greedy_expand_cantor", "greedy_step", "lazy_expand", "lazy_step",
+        "new_base", "phi", "shift_base",
     ),
     "digitset": (
         "DigitSet", "DisagreementReport", "compare_transforms", "compare_transforms_lazy",
@@ -24,8 +24,7 @@ _EXPORTS = {
     ),
     "measure": (
         "DensitySpec", "IntervalMeasureQuery", "PiecewiseLinearMap", "compose_map", "density_eval",
-        "entropy", "frequency", "gora_density", "measure_interval", "mu_product", "preimage",
-        "slot_densities",
+        "frequency", "gora_density", "measure_interval", "mu_product", "preimage", "slot_densities",
     ),
     "oracle": (
         "EmpiricalStats", "SplitMix64", "TupleSearchResult", "birkhoff_frequency",

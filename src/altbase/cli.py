@@ -6,13 +6,15 @@ Every command prints a human-readable summary by default and a
 deterministic JSON document with ``--json``; plot data goes to CSV files.
 A command returns its base, payload and lines; ``main`` renders them.
 
-Exit codes: 0 success, 2 expression parse error, 3 domain error, 4 numeric
-failure, 5 input over the size bound (core.ENUMERATION_BOUND).
+Exit codes: 0 success, 1 standard output closed early (as by ``| head``),
+2 expression parse error, 3 domain error, 4 numeric failure, 5 input over
+the size bound (core.ENUMERATION_BOUND).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -222,9 +224,8 @@ def cmd_freq(args) -> _Output:
 
 
 def cmd_entropy(args) -> _Output:
-    import altbase.measure as measure
     base = _parse_base(args)
-    value = measure.entropy(base)
+    value = core.entropy(base)
     return base, {"entropy": value}, [f"entropy: {_fmt(value)}"]
 
 
@@ -394,5 +395,25 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> int:
+    """The process entry point: ``main()``'s exit code, 1 if stdout closes early.
+
+    Every output is written and every CSV closed when ``main`` returns, so
+    ``gc.freeze()`` then lets the interpreter's exit-time collections skip
+    every live object; the OS reclaims them. It runs here, not in ``main``,
+    which in-process callers share.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the Python docs' recipe: the interpreter still flushes stdout at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

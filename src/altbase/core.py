@@ -3,8 +3,8 @@
 An alternate base is a finite tuple (beta_0, ..., beta_{p-1}) of reals > 1
 applied cyclically: position n of an expansion uses beta_{n mod p}.  The
 module provides the one-step transformations on the disjoint-union phase
-space, full digit expansions, value reconstruction and the reflection that
-conjugates the greedy system to the lazy one.
+space, full digit expansions, value reconstruction, the entropy and the
+reflection that conjugates the greedy system to the lazy one.
 
 All arithmetic is double precision.  Floor/ceil arguments within EPS_SNAP
 of an integer are snapped to that integer so that points intended to sit on
@@ -378,6 +378,11 @@ def evaluate(base: AlternateBase, w: DigitWord) -> float:
         prod *= beta
         total += d / prod
     return total
+
+
+def entropy(base: AlternateBase) -> float:
+    """Average information per digit: log of the period product over the period."""
+    return math.log(base.product) / base.p
 
 
 def phi(base: AlternateBase, s: StatePoint) -> StatePoint:

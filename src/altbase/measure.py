@@ -367,11 +367,6 @@ def frequency(base: AlternateBase, digit: int) -> float:
     return total / base.p
 
 
-def entropy(base: AlternateBase) -> float:
-    """Average information per digit: log of the period product over the period."""
-    return math.log(base.product) / base.p
-
-
 class IntervalMeasureQuery(_Record):
     """A per-slot interval query for the product-space measure."""
 

@@ -1,8 +1,10 @@
 """Golden corpus of CLI runs: argv, exit code, stdout, stderr and written files.
 
 ``tests/data/cli_golden.jsonl`` holds one run per line.  The test suite
-replays every argv in-process and asserts the same bytes; a change that
-alters any of them is a change of the CLI's output, not a refactor.
+replays every argv in-process and asserts the same bytes, and runs one line
+of each command form and error exit through a child ``python -m altbase.cli``;
+a change that alters any of them is a change of the CLI's output, not a
+refactor.
 
 Regenerate (only when an output change is intended) with
 

@@ -9,6 +9,7 @@ import math
 
 from altbase.core import (
     StatePoint,
+    entropy,
     greedy_expand,
     greedy_step,
     lazy_expand,
@@ -26,7 +27,6 @@ from altbase.digitset import (
 )
 from altbase.measure import (
     compose_map,
-    entropy,
     frequency,
     gora_density,
     measure_interval,

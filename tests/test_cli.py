@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import json
 import math
 import os
@@ -702,7 +704,7 @@ CLI_MODULES = {"altbase", "altbase.core", "altbase.errors", "altbase.expr"}
 COMMAND_FORMS = {
     "expand": (["expand", "--base", BASE13, "--x", "0.3", "--json"], 0, False, ()),
     "orbit": (["orbit", "--base", BASE13, "--x", "0.3", "--steps", "20", "--json"], 0, False, ()),
-    "entropy": (["entropy", "--base", BASE13, "--json"], 0, False, ("measure",)),
+    "entropy": (["entropy", "--base", BASE13, "--json"], 0, False, ()),
     "compare": (["compare", "--base", BASE13, "--json"], 0, False, ("digitset",)),
     "graph": (["graph", "--base", BASE13, "--csv", "g.csv", "--json"], 0, False, ()),
     "parse-error": (["expand", "--base", BASE13 + "+*2", "--x", "0.3"], 2, False, ()),
@@ -766,3 +768,121 @@ class TestBlasThreads:
 
     def test_user_settings_are_kept(self, tmp_path):
         assert _blas_probe(tmp_path, OMP_NUM_THREADS="3", MKL_NUM_THREADS="2") == ["3", "1", "2"]
+
+
+# The process entry point: the golden bytes after ``main`` returns, where the freeze lives,
+# and a stdout closed early.
+
+
+def _first_golden_line_per_form() -> list[tuple[int, dict]]:
+    """(index, record) of each command form's first golden line, --empirical a form of its own,
+    and of each error exit's."""
+    picked = {}
+    for k, rec in enumerate(GOLDEN):
+        form = (rec["argv"][0], "--empirical" in rec["argv"]) if rec["exit"] == 0 else rec["exit"]
+        picked.setdefault(form, (k, rec))
+    return list(picked.values())
+
+
+ENTRY_POINT_GOLDEN = _first_golden_line_per_form()
+
+
+@pytest.mark.parametrize(
+    "record", [rec for _, rec in ENTRY_POINT_GOLDEN],
+    ids=[f"{k:02d}-{rec['argv'][0]}" for k, rec in ENTRY_POINT_GOLDEN],
+)
+def test_golden_line_through_the_entry_point(record, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "altbase.cli", *record["argv"]], cwd=tmp_path, env=_child_env(),
+        capture_output=True, timeout=60,
+    )
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    got = (proc.returncode, proc.stdout.decode(), proc.stderr.decode(), files)
+    assert got == (record["exit"], record["stdout"], record["stderr"], record["files"])
+
+
+# The child prints the interpreter's collector state after each stage as one JSON list.
+_GC_PROBE = """
+import contextlib, gc, io, json
+
+def state():
+    return [gc.isenabled(), gc.get_freeze_count(), list(gc.get_threshold())]
+
+states = [state()]
+from altbase.cli import main
+states.append(state())
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["entropy", "--base", "2"]), main(["expand", "--base", "0.5", "--x", "0.1"])]
+states.append(state())
+print(json.dumps([codes, states]))
+"""
+
+
+class TestEntryPoint:
+    """``run`` alone freezes the collector, at exit; ``main`` leaves the interpreter as it was."""
+
+    def test_import_and_main_keep_the_collector_state(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", _GC_PROBE], cwd=tmp_path, env=_child_env(),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        codes, states = json.loads(proc.stdout)
+        assert codes == [0, 3]
+        assert states[0][:2] == [True, 0]
+        assert states == [states[0]] * 3
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["entropy", "--base", "2"], 0),
+            (["expand", "--base", "2+*3", "--x", "0.5"], 2),
+            (["expand", "--base", "0.5", "--x", "0.1"], 3),
+            (["compare", "--base", "1000000.5,1000000.5"], 5),
+        ],
+    )
+    def test_run_passes_the_exit_code_through(self, capsys, monkeypatch, argv, code):
+        # the freeze is recorded, not made, so this test process keeps its collector state
+        events = []
+        real_main = cli.main
+        monkeypatch.setattr(cli, "main", lambda: events.append("main") or real_main())
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(sys, "argv", ["altbase", *argv])
+        assert cli.run() == code
+        assert events == ["main", "freeze"]
+        assert capsys.readouterr().err.startswith("error:") == (code != 0)
+
+    def test_console_script_is_the_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"altbase": "altbase.cli:run"}
+
+    @pytest.mark.parametrize(
+        "flags, steps, read",
+        [((), 200_000, "line"), (("--json",), 200_000, 4096), ((), 20, 0)],
+        ids=["text", "json", "closed-before-the-first-write"],
+    )
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, flags, steps, read):
+        # like `altbase orbit ... | head -1`: the reader goes away while the CLI writes; stdout
+        # is block-buffered, as by default, so 20 text rows stay in its buffer until run flushes it
+        argv = ["orbit", "--base", "2.5", "--x", "0.3", "--steps", str(steps), "--csv", "o.csv", *flags]
+        env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "altbase.cli", *argv], cwd=tmp_path, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.readline() if read == "line" else proc.stdout.read(read)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+        if read == "line":
+            assert head == b"0: slot 0 x=0.29999999999999999 digit 0\n"
+        elif read:
+            assert head.startswith(b'{"schema_version":"1","command":"orbit"')
+        # the CSV is closed: every row it holds is whole, in step order
+        text = (tmp_path / "o.csv").read_text()
+        rows = text.splitlines()
+        assert text.endswith("\n") and rows[0] == "step,slot,x,digit"
+        assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(len(rows) - 1))
+        assert all(len(row.split(",")) == 4 for row in rows[1:])
+        assert len(rows) - 1 <= steps

@@ -13,7 +13,7 @@ import pytest
 import cli_golden
 import reference
 from altbase import core, measure
-from altbase.core import StatePoint, greedy_step, lazy_expand, lazy_step, new_base, phi
+from altbase.core import StatePoint, entropy, greedy_step, lazy_expand, lazy_step, new_base, phi
 from altbase.errors import (
     AlphabetError,
     DomainError,
@@ -30,7 +30,6 @@ from altbase.measure import (
     _endpoint_orbits,
     compose_map,
     density_eval,
-    entropy,
     frequency,
     gora_density,
     measure_interval,

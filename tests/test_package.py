@@ -17,9 +17,9 @@ SUBMODULES = ("core", "digitset", "errors", "expr", "measure", "oracle")
 # the public names that the package has always exported, by defining submodule
 EXPORTED = {
     "core": (
-        "AlternateBase", "CantorBaseStream", "DigitWord", "StatePoint", "evaluate", "greedy_expand",
-        "greedy_expand_cantor", "greedy_step", "lazy_expand", "lazy_step", "new_base", "phi",
-        "shift_base",
+        "AlternateBase", "CantorBaseStream", "DigitWord", "StatePoint", "entropy", "evaluate",
+        "greedy_expand", "greedy_expand_cantor", "greedy_step", "lazy_expand", "lazy_step",
+        "new_base", "phi", "shift_base",
     ),
     "digitset": (
         "DigitSet", "DisagreementReport", "compare_transforms", "compare_transforms_lazy",
@@ -32,8 +32,7 @@ EXPORTED = {
     ),
     "measure": (
         "DensitySpec", "IntervalMeasureQuery", "PiecewiseLinearMap", "compose_map", "density_eval",
-        "entropy", "frequency", "gora_density", "measure_interval", "mu_product", "preimage",
-        "slot_densities",
+        "frequency", "gora_density", "measure_interval", "mu_product", "preimage", "slot_densities",
     ),
     "oracle": (
         "EmpiricalStats", "SplitMix64", "TupleSearchResult", "birkhoff_frequency",
