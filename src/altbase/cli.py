@@ -369,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # one BLAS thread for the small solves, set before numpy loads; a value the user set is kept
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(name, "1")
     args = build_parser().parse_args(argv)
     try:
         base, payload, lines = args.fn(args)
@@ -400,9 +397,12 @@ def run() -> int:
 
     Every output is written and every CSV closed when ``main`` returns, so
     ``gc.freeze()`` then lets the interpreter's exit-time collections skip
-    every live object; the OS reclaims them. It runs here, not in ``main``,
-    which in-process callers share.
+    every live object; the OS reclaims them. The freeze and the BLAS thread
+    setting live here, not in ``main``, which in-process callers share.
     """
+    # one BLAS thread for the small solves, set before numpy loads; a value the user set is kept
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     try:
         code = main()
         sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's last flush

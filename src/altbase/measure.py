@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from itertools import cycle, islice
+from itertools import cycle, islice, pairwise
 from numbers import Integral
 
 from .core import AlternateBase, _Record, check_size
@@ -159,7 +159,7 @@ def _endpoint_orbits(map_: PiecewiseLinearMap, cs: list[float], M: int) -> list[
     # lo[k] = e[branch_of(y)] for a y on no breakpoint, with k = bisect_left(e, y)
     lo = (e[0],) + e[:-1] + (e[-2],)
     down = [k - 1 if k and e[k] - e[k - 1] <= EPS_GEO else k for k in range(n)]
-    nxt = [map_.branch_image_top(j - 1) if j else 0.0 for j in down]
+    nxt = [s * (e[j] - e[j - 1]) if j else 0.0 for j in down]
     orbits = []
     for c in cs:
         k = bisect_left(e, c)  # every cut is a breakpoint
@@ -206,11 +206,7 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
         raise TruncationTooShallow(
             f"depth {M} leaves a geometric tail above {SERIES_TAIL:g} for slope {B!r}"
         )
-    cs = [
-        map_.endpoints[k + 1]
-        for k in range(map_.branch_count)
-        if map_.branch_image_top(k) < 1.0 - EPS_GEO
-    ]
+    cs = [hi for lo, hi in pairwise(map_.endpoints) if B * (hi - lo) < 1.0 - EPS_GEO]
     K = len(cs)
     if K == 0:
         return DensitySpec(0, (), (), (1.0,), 1.0, B, M, (), ())
@@ -223,9 +219,10 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
 
     import numpy as np  # imported here so that numpy-free commands start faster
 
-    powers = B ** -np.arange(1, M + 1)
-    S = _correction_matrix(orbits, cs, powers)
-    s_norm = S.sum(axis=0).max()  # |S|_1, as S >= 0
+    H = np.array(orbits)
+    powers = B ** np.arange(-1.0, -M - 0.5, -1.0)
+    S = _correction_matrix(H, cs, powers)
+    s_norm = np.maximum.reduce(np.add.reduce(S, axis=0))  # |S|_1, as S >= 0
     # Id - S in the buffer of S, the bits of np.eye(K) - S (signed zeros too)
     A = np.subtract(0.0, S, out=S)
     A.reshape(-1)[:: K + 1] += 1.0
@@ -234,23 +231,26 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     except np.linalg.LinAlgError:
         cond = err = math.inf
     else:
-        y_max = y.max()
+        y_max = np.maximum.reduce(y)  # ufunc reductions skip the ndarray.max/min/sum wrappers
         err = y_max * s_norm * M * 2.0**-53
         # y > 0 makes the Z-matrix A an M-matrix with A^-1 >= 0, so |A^-1|_1 = max(y) (NaN fails)
-        cond = np.abs(A, out=A).sum(axis=0).max() * y_max if y.min() > 0.0 else np.linalg.cond(A, 1)
+        if np.minimum.reduce(y) > 0.0:
+            cond = np.maximum.reduce(np.add.reduce(np.abs(A, out=A), axis=0)) * y_max
+        else:
+            cond = np.linalg.cond(A, 1)
     if cond > COND_MAX:
         raise SingularSystem("Id - S is singular or too ill-conditioned")
     if err > FORWARD_ERROR_MAX:
         raise SingularSystem(f"rounding in S may move the weights by {err:.3g} relative")
     dtail = y.tolist()
 
-    # flattened in (j, m) order
-    T = np.minimum(orbits, 1.0).ravel()
-    W = np.multiply.outer(y, powers).ravel()
+    # flattened in (j, m) order; H is clipped in place only now, S being built from the raw points
+    T = np.minimum(H, 1.0, out=H).ravel()
+    W = np.multiply(y[:, None], powers).ravel()  # np.multiply.outer's products, at less cost
     # argsort's default kind: another kind may put the weights of tied thresholds in another order
-    order = np.argsort(T)
-    thresholds = tuple(T[order].tolist())
-    weights = tuple(W[order].tolist())
+    order = T.argsort()
+    thresholds = tuple(T.take(order).tolist())
+    weights = tuple(W.take(order).tolist())
     # C adds 1 and then each W * T left to right in (j, m) order, as np.add.accumulate does in
     # W's buffer (np.sum adds pairwise, which gives other bits)
     np.multiply(W, T, out=W)
@@ -261,8 +261,8 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     return DensitySpec(K, tuple(cs), tuple(orbits), (1.0, *dtail), C, B, M, thresholds, weights)
 
 
-def _correction_matrix(orbits, cs, powers):
-    """K x K array: S[i, j] sums powers[m] over orbit[i][m] > cs[j].
+def _correction_matrix(H, cs, powers):
+    """K x K array: S[i, j] sums powers[m] over H[i, m] > cs[j], H the K x M orbit table.
 
     With orbit i sorted into ``ranked`` and r the number of its points at or
     below cs[j], those are the points at or above ranked[r] (none when
@@ -275,8 +275,8 @@ def _correction_matrix(orbits, cs, powers):
 
     M = len(powers)
     S = np.empty((len(cs), len(cs)))
-    for i, (orbit, hits) in enumerate(zip(orbits, np.array(orbits))):
-        ranked = sorted(orbit)
+    for i, hits in enumerate(H):
+        ranked = sorted(hits.tolist())
         row = []
         last = -1
         for c in cs:
@@ -285,7 +285,7 @@ def _correction_matrix(orbits, cs, powers):
                 last = r
                 total = float(powers[hits >= ranked[r]].sum()) if r < M else 0.0
             row.append(total)
-        S[i] = row
+        S[i] = row  # one row at a time: K rows of Python floats would outweigh S
     return S
 
 

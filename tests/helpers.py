@@ -24,11 +24,13 @@ def correction_matrix(spec):
     """The K x K correction matrix S behind a DensitySpec's weights, as gora_density builds it.
 
     A DensitySpec does not keep S; the production kernel rebuilds it from
-    the orbits, cuts, slope and depth that the spec does keep.
+    the orbits (as the K x M array the build makes), cuts, slope and depth
+    that the spec does keep.
     """
     import numpy as np
 
-    return measure._correction_matrix(spec.orbit, spec.c, spec.B ** -np.arange(1, spec.M + 1))
+    H = np.array(spec.orbit)
+    return measure._correction_matrix(H, spec.c, spec.B ** -np.arange(1, spec.M + 1))
 
 
 def randint(rng: SplitMix64, lo: int, hi: int) -> int:

@@ -271,7 +271,7 @@ def gora_density_reference(map_, M=None):
         return DensitySpec(0, (), (), (1.0,), 1.0, B, M, (), ()), np.zeros((0, 0))
     orbits = endpoint_orbits_reference(map_, cs, M)
     powers = B ** -np.arange(1, M + 1)
-    S = _correction_matrix(orbits, cs, powers)
+    S = _correction_matrix(np.array(orbits), cs, powers)
     A = np.eye(K) - S
     if np.linalg.cond(A, 1) > COND_MAX:
         raise SingularSystem("Id - S is singular or too ill-conditioned")

@@ -734,17 +734,24 @@ def test_only_density_solves_load_numpy(tmp_path, form):
 
 
 BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-# The child runs a density command, which loads numpy for its weight solve,
-# and prints the BLAS thread variables that numpy found.
+# The child runs a density command through the entry point, which loads numpy for its
+# weight solve, and prints the BLAS thread variables as numpy's import found them.
 _BLAS_PROBE = """
 import contextlib, io, os, sys
-from altbase.cli import main
+from altbase import cli
 
-assert "numpy" not in sys.modules
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(" ".join(os.environ.get(v, "unset") for v in BLAS_THREAD_VARIABLES))
+
+seen = []
+sys.meta_path.insert(0, Spy())
+sys.argv = ["altbase", "density", "--base", "1.3,2.7,1.9", "--json"]
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["density", "--base", "1.3,2.7,1.9", "--json"]) == 0
-assert "numpy" in sys.modules
-print(" ".join(os.environ.get(name, "unset") for name in BLAS_THREAD_VARIABLES))
+    assert cli.run() == 0
+assert len(seen) == 1
+print(seen[0])
 """
 
 
@@ -761,13 +768,23 @@ def _blas_probe(tmp_path, **settings):
 
 
 class TestBlasThreads:
-    """The CLI pins BLAS to one thread before numpy loads, unless the user chose a count."""
+    """``run`` pins BLAS to one thread before numpy loads, unless the user chose a count;
+    ``main`` leaves the environment of an in-process caller as it was."""
 
     def test_unset_variables_become_one(self, tmp_path):
         assert _blas_probe(tmp_path) == ["1", "1", "1"]
 
     def test_user_settings_are_kept(self, tmp_path):
         assert _blas_probe(tmp_path, OMP_NUM_THREADS="3", MKL_NUM_THREADS="2") == ["3", "1", "2"]
+
+    def test_main_leaves_the_environment_unchanged(self, monkeypatch, capsys):
+        # conftest.py sets the variables for this process; unset, main must not set them
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
+        assert main(["entropy", "--base", "2"]) == 0
+        assert main(["density", "--base", "1.3,2.7,1.9", "--json"]) == 0
+        assert dict(os.environ) == before
 
 
 # The process entry point: the golden bytes after ``main`` returns, where the freeze lives,

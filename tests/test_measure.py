@@ -562,7 +562,7 @@ NAMED_BASES = (
     "1.5,2.5",
 )
 # upper end of the random betas per period, so the branch count stays small
-RANDOM_HI = {1: 4.0, 2: 3.2, 3: 2.6, 4: 2.2, 5: 2.0, 6: 1.9, 7: 1.85}
+RANDOM_HI = {1: 4.0, 2: 3.2, 3: 2.6, 4: 2.2, 5: 2.0, 6: 1.9, 7: 1.85, 8: 1.75}
 
 
 def _bitwise_bases():
@@ -572,6 +572,8 @@ def _bitwise_bases():
     for k in range(42):
         p = 1 + k % 7
         rand.append((f"random{k:02d}-p{p}", random_base(rng, p, p, hi=RANDOM_HI[p])))
+    # two random period-8 bases, drawn after the others so that those stay as they were
+    rand += [(f"random{k}-p8", random_base(rng, 8, 8, hi=RANDOM_HI[8])) for k in (42, 43)]
     return named + rand
 
 
@@ -591,7 +593,7 @@ class TestCorrectionMatrix:
             assert S.shape == ref.shape == (spec.K, spec.K) and S.tobytes() == ref.tobytes()
             # the build turns its S into Id - S in place, so it gets a copy
             with monkeypatch.context() as mp:
-                mp.setattr(measure, "_correction_matrix", lambda orbits, cs, powers: ref.copy())
+                mp.setattr(measure, "_correction_matrix", lambda H, cs, powers: ref.copy())
                 rebuilt = gora_density(m)
             assert (rebuilt.d, rebuilt.C) == (spec.d, spec.C)
             assert (rebuilt.thresholds, rebuilt.weights) == (spec.thresholds, spec.weights)
@@ -646,8 +648,6 @@ def _assert_matches_reference(m, M=None):
     )
 
 
-# slots of random bases of periods 1-8; the top beta per period keeps the branch count small
-ORBIT_RANDOM_HI = {**RANDOM_HI, 8: 1.75}
 # bases within 1e-13 to 1e-6 of an integer, where EPS_SNAP and EPS_GEO decide branches
 NEAR_INTEGER_BASES = [
     (n + sign * 10.0**-k,) for n in (2, 3, 5) for k in (6, 8, 10, 12, 13) for sign in (1, -1)
@@ -691,7 +691,7 @@ class TestEndpointOrbitsMatchReference:
         rng = SplitMix64(2027)
         for k in range(112):
             p = 1 + k % 8
-            base = random_base(rng, p, p, hi=ORBIT_RANDOM_HI[p])
+            base = random_base(rng, p, p, hi=RANDOM_HI[p])
             for slot in range(base.p):
                 _assert_matches_reference(compose_map(base, slot))
 
@@ -789,7 +789,7 @@ class TestComposeMapMatchesReference:
         rng = SplitMix64(2028)
         for k in range(400):
             p = 1 + k % 8
-            self._assert_slots_match(random_base(rng, p, p, hi=ORBIT_RANDOM_HI[p]))
+            self._assert_slots_match(random_base(rng, p, p, hi=RANDOM_HI[p]))
 
     @pytest.mark.parametrize(
         "betas",
@@ -877,7 +877,7 @@ def _orbit_random_bases():
     out = {}
     for k in range(40):
         p = 1 + k % 8
-        out[f"random{k:02d}-p{p}"] = random_base(rng, p, p, hi=ORBIT_RANDOM_HI[p])
+        out[f"random{k:02d}-p{p}"] = random_base(rng, p, p, hi=RANDOM_HI[p])
     return out
 
 
@@ -1015,7 +1015,7 @@ def _certificate_bases():
     rng = SplitMix64(46)
     for k in range(200):
         p = 1 + k % 8
-        bases.append((f"random{k:03d}-p{p}", random_base(rng, p, p, hi=ORBIT_RANDOM_HI[p])))
+        bases.append((f"random{k:03d}-p{p}", random_base(rng, p, p, hi=RANDOM_HI[p])))
     return bases
 
 
@@ -1072,7 +1072,7 @@ def _outcomes_with_matrix(monkeypatch, S, cond_calls):
     the correction matrix; cond_calls counts gora_density's np.linalg.cond calls."""
     assert len(_cuts(K2_MAP)) == len(S) == 2
 
-    def patch(orbits, cs, powers):
+    def patch(H, cs, powers):
         return S.copy()  # gora_density overwrites its S
 
     monkeypatch.setattr(measure, "_correction_matrix", patch)
