@@ -65,9 +65,6 @@ class PiecewiseLinearMap(_Record):
         k = bisect_right(self.endpoints, x) - 1
         return min(max(k, 0), self.branch_count - 1)
 
-    def branch_image_top(self, k: int) -> float:
-        return self.slope * (self.endpoints[k + 1] - self.endpoints[k])
-
     def __call__(self, x: float) -> float:
         if not (0.0 <= x < 1.0):
             raise DomainError(f"{x!r} outside [0, 1)")

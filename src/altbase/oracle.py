@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from itertools import chain, cycle, islice
+from itertools import cycle
 from numbers import Integral
 from typing import Iterator, Optional
 
@@ -138,9 +138,9 @@ def lex_least(base: AlternateBase, x: float, n: int) -> TupleSearchResult:
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def _dither_blocks(seed: int) -> Iterator[list[float]]:
+def _dither_blocks(seed: int) -> Iterator[memoryview]:
     """Successive ``SplitMix64(seed).uniform(-DITHER_AMPLITUDE, DITHER_AMPLITUDE)``
-    draws, ``_DITHER_BLOCK`` at a time.
+    draws, ``_DITHER_BLOCK`` at a time, each block a float64 buffer of its own.
 
     Array arithmetic on uint64 wraps modulo 2**64 like the masked Python
     integers of :class:`SplitMix64`, and the float steps are the same IEEE
@@ -161,7 +161,7 @@ def _dither_blocks(seed: int) -> Iterator[list[float]]:
         z ^= z >> u64(27)
         z *= u64(SplitMix64._MIX2)
         z ^= z >> u64(31)
-        yield (lo + (z >> u64(11)) * 2.0**-53 * (hi - lo)).tolist()
+        yield memoryview(lo + (z >> u64(11)) * 2.0**-53 * (hi - lo))
 
 
 def _orbit_tally(
@@ -175,35 +175,36 @@ def _orbit_tally(
     back into [0,1) after the dither is added.
     """
     (bits,) = struct.unpack("<Q", struct.pack("<d", x0))
-    dither = chain.from_iterable(_dither_blocks(bits ^ _DITHER_SALT))
+    blocks = _dither_blocks(bits ^ _DITHER_SALT)
     at_slot = [i == slot for i in range(base.p)]
-    per_slot = tuple(zip(base.betas, map(float, base.alphabets), at_slot))
+    slots = cycle(tuple(zip(base.betas, map(float, base.alphabets), at_slot)))
     counts = [0] * bins
     hits = 0
     eps, below_one, fbins = EPS_SNAP, _BELOW_ONE, float(bins)
-    # float == float is the fastest compare; no digit above every alphabet is ever hit
-    digit = float(min(digit, max(base.alphabets) + 1))
+    digit = float(digit)  # float == float is the fastest compare
     x = x0
-    for (beta, top, seen), u in zip(islice(cycle(per_slot), steps), dither):
-        if seen:
-            k = int(x * fbins)
-            if k >= bins:
-                k = bins - 1
-            counts[k] += 1
-        # core._greedy_loop's digit rule inlined (a call costs 12-18% per step) as a
-        # float floor: for y >= 0 it has the value of int(y + eps), and alphabets
-        # below 2**53 are exact floats, so y - d and d == digit are unchanged
-        y = beta * x
-        d = (y + eps) // 1.0
-        if d > top:
-            d = top
-        if d == digit:
-            hits += 1
-        x = y - d + u
-        if x < 0.0:
-            x = 0.0
-        elif x >= 1.0:
-            x = below_one
+    for start in range(0, steps, _DITHER_BLOCK):
+        # the block leads the zip, so the slot cycle never runs ahead of the draws
+        for u, (beta, top, seen) in zip(next(blocks)[: steps - start], slots):
+            if seen:
+                k = int(x * fbins)
+                if k >= bins:
+                    k = bins - 1
+                counts[k] += 1
+            # core._greedy_loop's digit rule inlined (a call costs 12-18% per step) as a
+            # float floor: for y >= 0 it has the value of int(y + eps), and alphabets
+            # below 2**53 are exact floats, so y - d and d == digit are unchanged
+            y = beta * x
+            d = (y + eps) // 1.0
+            if d > top:
+                d = top
+            if d == digit:
+                hits += 1
+            x = y - d + u
+            if x < 0.0:
+                x = 0.0
+            elif x >= 1.0:
+                x = below_one
     return hits, counts
 
 
@@ -233,6 +234,8 @@ def birkhoff_frequency(
         x0 = SplitMix64(seed).uniform()
     if not (0.0 <= x0 < 1.0):
         raise DomainError(f"starting point {x0!r} outside [0,1)")
+    if digit > max(base.alphabets):  # no step can yield it: 0/N without the orbit
+        return 0.0
     return _orbit_tally(base, x0, N, int(digit), -1, 0)[0] / N
 
 

@@ -165,6 +165,12 @@ def branch_of_reference(map_, x):
     return min(max(k, 0), map_.branch_count - 1)
 
 
+def branch_image_tops(map_):
+    """slope * (a_{k+1} - a_k) for each branch k: the top of its image, 1.0 when it is onto."""
+    e = map_.endpoints
+    return [map_.slope * (hi - lo) for lo, hi in zip(e, e[1:])]
+
+
 def left_limit_reference(map_, x):
     k = int(np.searchsorted(map_.endpoints, x, side="left")) - 1
     k = min(max(k, 0), map_.branch_count - 1)
@@ -261,11 +267,7 @@ def gora_density_reference(map_, M=None):
         raise TruncationTooShallow(
             f"depth {M} leaves a geometric tail above {SERIES_TAIL:g} for slope {B!r}"
         )
-    cs = [
-        map_.endpoints[k + 1]
-        for k in range(map_.branch_count)
-        if map_.branch_image_top(k) < 1.0 - EPS_GEO
-    ]
+    cs = [e for e, top in zip(map_.endpoints[1:], branch_image_tops(map_)) if top < 1.0 - EPS_GEO]
     K = len(cs)
     if K == 0:
         return DensitySpec(0, (), (), (1.0,), 1.0, B, M, (), ()), np.zeros((0, 0))

@@ -49,6 +49,7 @@ from helpers import (
     random_base,
 )
 from reference import (
+    branch_image_tops,
     branch_of_reference,
     compose_map_reference,
     correction_matrix_reference,
@@ -93,7 +94,7 @@ class TestComposeMap:
         m = compose_map(new_base((2,)), 0)
         assert m.endpoints == (0.0, 0.5, 1.0)
         assert m.slope == 2.0
-        assert all(m.branch_image_top(k) == 1.0 for k in range(m.branch_count))
+        assert all(top == 1.0 for top in branch_image_tops(m))
 
     def test_three_fold_composition_pointwise(self):
         b = new_base((PHI, PHI, math.sqrt(5)))
@@ -319,7 +320,7 @@ class TestPreimage:
         b = base13()
         m = compose_map(b, 0)
         pieces = preimage(m, 0.0, 1 / b.betas[0])
-        reaching = sum(1 for k in range(m.branch_count) if m.branch_image_top(k) >= 1 / b.betas[0])
+        reaching = sum(1 for top in branch_image_tops(m) if top >= 1 / b.betas[0])
         assert sum(hi - lo for lo, hi in pieces) == pytest.approx(
             reaching * (1 / b.betas[0]) / b.product, abs=1e-12
         )
@@ -635,8 +636,7 @@ def _density_outcome(build, m, M):
 
 
 def _cuts(m):
-    ks = range(m.branch_count)
-    return [m.endpoints[k + 1] for k in ks if m.branch_image_top(k) < 1.0 - EPS_GEO]
+    return [e for e, top in zip(m.endpoints[1:], branch_image_tops(m)) if top < 1.0 - EPS_GEO]
 
 
 def _assert_matches_reference(m, M=None):
@@ -729,6 +729,19 @@ class TestEndpointOrbitsMatchReference:
         m = PiecewiseLinearMap((0.0, 0.3, 1.0), 2.5)
         assert gora_density(m).orbit[0][:3] == (0.75, 1.125, 2.0625)
         _assert_matches_reference(m)
+
+    def test_equal_first_points_give_equal_rows(self):
+        # an endpoint orbit depends on its first point alone, so the cuts of branches with equal
+        # image tops could share one stepped orbit (597 of the 2,186 rows here repeat one)
+        bases = [new_base(parse_base_list(t)) for t in cli_golden.BASES]
+        repeated = 0
+        for base in bases + list(_orbit_random_bases().values()):
+            for spec in slot_densities(base):
+                first = {}
+                for row in spec.orbit:
+                    repeated += row[0] in first
+                    assert first.setdefault(row[0], row) == row
+        assert repeated > 0
 
 
     @pytest.mark.parametrize("M", [None, 200, 10**4])
@@ -938,7 +951,7 @@ RESIDUAL_REL = 1e-12
 def _transfer(m, h):
     """P h: x -> (1/B) * sum of h(e_k + x/B) over the branches whose image top exceeds x."""
     B = m.slope
-    branches = [(m.endpoints[k], m.branch_image_top(k)) for k in range(m.branch_count)]
+    branches = list(zip(m.endpoints, branch_image_tops(m)))
     return lambda x: sum(h(e + x / B) for e, top in branches if top > x) / B
 
 

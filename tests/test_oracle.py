@@ -73,6 +73,17 @@ class TestSplitMix:
         scalar = [r.uniform(-DITHER_AMPLITUDE, DITHER_AMPLITUDE) for _ in range(n)]
         assert blocked == scalar
 
+    def test_a_drawn_block_keeps_its_values(self):
+        # each block is a buffer of its own: drawing the next ones must not overwrite it
+        blocks = _dither_blocks(5)
+        first = next(blocks)
+        kept = list(first)
+        second = next(blocks)
+        next(blocks)
+        r = SplitMix64(5)
+        scalar = [r.uniform(-DITHER_AMPLITUDE, DITHER_AMPLITUDE) for _ in range(2 * _DITHER_BLOCK)]
+        assert list(first) == kept and kept + list(second) == scalar
+
 
 class TestLexSearch:
     def test_sqrt13_extremal_tuples(self):
@@ -200,6 +211,29 @@ class TestBirkhoff:
             birkhoff_frequency(base13(), 0.3, digit, 1000)
         assert seen == [int] * 4
 
+    def test_digit_above_every_alphabet_runs_no_orbit(self, monkeypatch):
+        calls = []
+
+        def spy(base, x0, steps, digit, slot, bins):
+            calls.append(digit)
+            return 0, []
+
+        monkeypatch.setattr(oracle, "_orbit_tally", spy)
+        b = base13()
+        top = max(b.alphabets)
+        for digit in (top + 1, np.int64(top + 1), 10**30):
+            assert birkhoff_frequency(b, 0.3, digit, 1000) == 0.0
+        assert birkhoff_frequency(b, None, top + 1, 1000, seed=3) == 0.0
+        # the argument checks still come first
+        for x0, N in ((0.3, 0), (1.5, 1000)):
+            with pytest.raises(DomainError):
+                birkhoff_frequency(b, x0, top + 1, N)
+        with pytest.raises(TypeError):
+            birkhoff_frequency(b, 0.3, top + 1, 1000.0)
+        assert calls == []
+        birkhoff_frequency(b, 0.3, top, 1000)
+        assert calls == [top]
+
 
 class TestHistogram:
     def test_empty(self):
@@ -277,6 +311,8 @@ ORBIT_BASES = {
     "two_plus": (2 + 1e-12,),
 }
 BELOW_ONE = math.nextafter(1.0, 0.0)
+# one step short of, at and one step past the ends of the first two dither blocks
+BLOCK_EDGES = [k * _DITHER_BLOCK + e for k in (1, 2) for e in (-1, 0, 1)]
 
 
 @pytest.mark.parametrize("betas", ORBIT_BASES.values(), ids=ORBIT_BASES.keys())
@@ -309,6 +345,27 @@ class TestOrbitMatchesScalarReference:
         for slot in {0, b.p - 1}:
             st = empirical_histogram(b, slot, 0.371, N, 16)
             assert st.counts == empirical_histogram_reference(b, slot, 0.371, N, 16)
+
+    @pytest.mark.parametrize("steps", BLOCK_EDGES)
+    def test_orbit_at_block_edges(self, betas, steps):
+        b = new_base(betas)
+        x0 = math.sqrt(2) - 1
+        orbit = dithered_orbit_reference(b, x0, steps)
+        for d in range(max(b.alphabets) + 1):
+            hits = sum(1 for _, _, e in orbit if e == d)
+            assert birkhoff_frequency(b, x0, d, steps) == hits / steps
+        for slot in {0, b.p - 1}:
+            expect = [0] * 16
+            for i, x, _ in orbit:
+                if i == slot:
+                    expect[min(int(x * 16), 15)] += 1
+            assert _orbit_tally(b, x0, steps, -1, slot, 16)[1] == expect
+
+    def test_empty_histogram_at_the_first_and_last_slot(self, betas):
+        b = new_base(betas)
+        for slot in (0, b.p - 1):
+            st = empirical_histogram(b, slot, 0.371, 0, 16)
+            assert st.counts == empirical_histogram_reference(b, slot, 0.371, 0, 16) == (0,) * 16
 
 
 PIN_STEPS = 10**4 + 1  # not a multiple of the period 2, 3 or 5

@@ -36,7 +36,12 @@ from altbase.measure import (
 )
 from altbase.oracle import SplitMix64
 from helpers import randint, random_base
-from reference import compare_transforms_reference, measure_interval_reference, preimage_reference
+from reference import (
+    branch_image_tops,
+    compare_transforms_reference,
+    measure_interval_reference,
+    preimage_reference,
+)
 
 NAN = math.nan
 BAD_INTERVALS = ((NAN, 0.5), (0.2, NAN), (NAN, NAN), (0.6, 0.4), (-0.1, 0.5), (0.5, 1.5))
@@ -145,7 +150,7 @@ class TestPreimage:
         rng = SplitMix64(173)
         for m, spec in maps_and_specs:
             # the cut images a = slope * (e - e_k) put ends on branch tops
-            tops = [m.branch_image_top(k) for k in range(m.branch_count)]
+            tops = branch_image_tops(m)
             for a, b in _intervals(_ends(list(spec.thresholds) + tops, rng)):
                 got, want = _pieces_bits(m, a, b)
                 assert got == want, (m.slope, a, b)
