@@ -5,10 +5,13 @@ so irrational inputs like ``(1+sqrt(13))/2`` keep full double precision.
 Every command prints a human-readable summary by default and a
 deterministic JSON document with ``--json``; plot data goes to CSV files.
 A command returns its base, payload and lines; ``main`` renders them.
+``run``, the process entry point, runs ``main`` with the cyclic collector
+off and ends the process as soon as stdout and stderr are flushed.
 
-Exit codes: 0 success, 1 standard output closed early (as by ``| head``),
-2 expression parse error, 3 domain error, 4 numeric failure, 5 input over
-the size bound (core.ENUMERATION_BOUND).
+Exit codes: 0 success, 1 standard output closed early (as by ``| head``)
+or an unexpected error (after its traceback), 2 expression parse error,
+3 domain error, 4 numeric failure, 5 input over the size bound
+(core.ENUMERATION_BOUND).
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ import gc
 import math
 import os
 import sys
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
+from typing import NoReturn
 
 # measure, digitset and oracle are imported only by the commands that use them
 import altbase.core as core
@@ -165,8 +170,11 @@ def cmd_density(args) -> _Output:
     if args.csv:
         check_size(max(2, args.samples) + 2 * len(spec.thresholds), "the CSV", "row ")
         pts = _sample_grid(0.0, 1.0, spec.thresholds, args.samples)
-        rows = ((x, measure.density_eval(spec, x)) for x in pts)
-        for _ in _write_csv(args.csv, _CSV_DENSITY, rows):
+        # the density depends on x only through bisect_left(ts, x): one evaluation per index
+        ts = spec.thresholds
+        at = {bisect_left(ts, x): x for x in pts}
+        y = {k: measure.density_eval(spec, x) for k, x in at.items()}
+        for _ in _write_csv(args.csv, _CSV_DENSITY, ((x, y[bisect_left(ts, x)]) for x in pts)):
             pass
     payload = {
         "slot": args.slot,
@@ -317,59 +325,61 @@ def cmd_graph(args) -> _Output:
     return base, {"mode": args.mode, "files": written}, lines
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="altbase", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+# each command's function, help and options besides --base and --json, in listing order
+_COMMANDS = {
+    "expand": (cmd_expand, "greedy or lazy digit expansion", [
+        ("--x", dict(required=True, help="point to expand")),
+        ("--mode", dict(choices=("greedy", "lazy"), default="greedy")),
+        ("--digits", dict(type=int, default=16))]),
+    "density": (cmd_density, "invariant density data for one slot", [
+        ("--slot", dict(type=int, default=0)),
+        ("--truncation", dict(type=int, default=None)),
+        ("--samples", dict(type=int, default=SAMPLES_PER_UNIT)),
+        ("--csv", dict(default=None))]),
+    "measure": (cmd_measure, "invariant measure of an interval", [
+        ("--slot", dict(type=int, default=0)),
+        ("--interval", dict(required=True, help="two expressions: a,b")),
+        ("--truncation", dict(type=int, default=None))]),
+    "freq": (cmd_freq, "digit frequency, closed form and empirical", [
+        ("--digit", dict(type=int, required=True)),
+        ("--empirical", dict(type=int, default=None, help="orbit length")),
+        ("--x0", dict(default=None)),
+        ("--seed", dict(type=int, default=0))]),
+    "entropy": (cmd_entropy, "entropy of the dynamics", []),
+    "compare": (cmd_compare, "blocked vs period transformation", []),
+    "orbit": (cmd_orbit, "trajectory of one point", [
+        ("--x", dict(required=True)),
+        ("--steps", dict(type=int, default=20)),
+        ("--mode", dict(choices=("greedy", "lazy"), default="greedy")),
+        ("--csv", dict(default=None))]),
+    "graph": (cmd_graph, "sampled transformation graphs as CSV", [
+        ("--mode", dict(choices=("greedy", "lazy", "both"), default="both")),
+        ("--samples", dict(type=int, default=SAMPLES_PER_UNIT, help="samples per unit length")),
+        ("--csv", dict(required=True))]),
+}
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone, which prints the same bytes:
+    its metavar names all eight in the usage that an unrecognized argument prints."""
+    ap = argparse.ArgumentParser(prog="altbase", description=__doc__)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        fn, help_text, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--base", required=True, help="comma-separated base expressions")
         p.add_argument("--json", action="store_true", help="emit a JSON document")
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("expand", cmd_expand, help="greedy or lazy digit expansion")
-    p.add_argument("--x", required=True, help="point to expand")
-    p.add_argument("--mode", choices=("greedy", "lazy"), default="greedy")
-    p.add_argument("--digits", type=int, default=16)
-
-    p = add("density", cmd_density, help="invariant density data for one slot")
-    p.add_argument("--slot", type=int, default=0)
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--samples", type=int, default=SAMPLES_PER_UNIT)
-    p.add_argument("--csv", default=None)
-
-    p = add("measure", cmd_measure, help="invariant measure of an interval")
-    p.add_argument("--slot", type=int, default=0)
-    p.add_argument("--interval", required=True, help="two expressions: a,b")
-    p.add_argument("--truncation", type=int, default=None)
-
-    p = add("freq", cmd_freq, help="digit frequency, closed form and empirical")
-    p.add_argument("--digit", type=int, required=True)
-    p.add_argument("--empirical", type=int, default=None, help="orbit length")
-    p.add_argument("--x0", default=None)
-    p.add_argument("--seed", type=int, default=0)
-
-    add("entropy", cmd_entropy, help="entropy of the dynamics")
-
-    add("compare", cmd_compare, help="blocked vs period transformation")
-
-    p = add("orbit", cmd_orbit, help="trajectory of one point")
-    p.add_argument("--x", required=True)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--mode", choices=("greedy", "lazy"), default="greedy")
-    p.add_argument("--csv", default=None)
-
-    p = add("graph", cmd_graph, help="sampled transformation graphs as CSV")
-    p.add_argument("--mode", choices=("greedy", "lazy", "both"), default="both")
-    p.add_argument("--samples", type=int, default=SAMPLES_PER_UNIT, help="samples per unit length")
-    p.add_argument("--csv", required=True)
-
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a named command gets its own subparser only; anything else lists or rejects all eight
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         base, payload, lines = args.fn(args)
         # rendering stays inside the try: orbit makes its rows while they are printed
@@ -392,28 +402,32 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def run() -> int:
-    """The process entry point: ``main()``'s exit code, 1 if stdout closes early.
+def run() -> NoReturn:
+    """The process entry point: ends the process with ``main()``'s exit code, 1 if stdout
+    closes early.
 
-    Every output is written and every CSV closed when ``main`` returns, so
-    ``gc.freeze()`` then lets the interpreter's exit-time collections skip
-    every live object; the OS reclaims them. The freeze and the BLAS thread
-    setting live here, not in ``main``, which in-process callers share.
+    The collector is off throughout, and ``os._exit`` skips the interpreter's
+    finalization: when ``main`` returns, every output is written and every
+    CSV closed by reference counting, so only the flushes of stdout and
+    stderr are left; the OS reclaims the rest. Any other exception
+    propagates, so the interpreter prints its traceback and exits 1. This
+    lives here, not in ``main``, which in-process callers share.
     """
+    gc.disable()
     # one BLAS thread for the small solves, set before numpy loads; a value the user set is kept
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
     try:
         code = main()
-        sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's last flush
-        return code
+        sys.stdout.flush()  # a closed pipe raises here
     except BrokenPipeError:
-        # the Python docs' recipe: the interpreter still flushes stdout at exit
+        # the Python docs' recipe: what stdout still buffers goes to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    finally:
-        gc.freeze()
+        sys.stdout.flush()
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -14,7 +14,7 @@ import pytest
 
 import cli_golden
 import cli_golden_report
-from altbase import cli, core, errors
+from altbase import cli, core, errors, measure
 from altbase.cli import main
 from altbase.core import new_base
 from altbase.expr import parse_base_list
@@ -88,6 +88,17 @@ class TestDensity:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,density"
         assert len(lines) > 64
+
+    @pytest.mark.parametrize("base, slot", [(BASE13, 0), ("1.3,2.7,1.9,3.4,1.15", 1)])
+    def test_csv_rows_are_the_density_at_each_sample(self, capsys, tmp_path, base, slot):
+        # the CLI evaluates once per threshold index; each row keeps density_eval's bits
+        path = tmp_path / "d.csv"
+        assert run(capsys, "density", "--base", base, "--slot", str(slot), "--csv", str(path))[0] == 0
+        spec = measure.gora_density(measure.compose_map(new_base(parse_base_list(base)), slot), None)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        xs = [float(x) for x, _ in rows]
+        assert xs == cli._sample_grid(0.0, 1.0, spec.thresholds, cli.SAMPLES_PER_UNIT)
+        assert [d for _, d in rows] == [cli._fmt(measure.density_eval(spec, x)) for x in xs]
 
 
 class TestMeasureFreqEntropy:
@@ -745,12 +756,13 @@ class Spy:
         if name == "numpy":
             seen.append(" ".join(os.environ.get(v, "unset") for v in BLAS_THREAD_VARIABLES))
 
-seen = []
+seen, exits = [], []
 sys.meta_path.insert(0, Spy())
 sys.argv = ["altbase", "density", "--base", "1.3,2.7,1.9", "--json"]
+os._exit = exits.append  # run ends the process; recorded, this child goes on to print
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.run() == 0
-assert len(seen) == 1
+    cli.run()
+assert exits == [0] and len(seen) == 1
 print(seen[0])
 """
 
@@ -787,7 +799,7 @@ class TestBlasThreads:
         assert dict(os.environ) == before
 
 
-# The process entry point: the golden bytes after ``main`` returns, where the freeze lives,
+# The process entry point: the golden bytes of a process that ``run`` ends with ``os._exit``,
 # and a stdout closed early.
 
 
@@ -836,7 +848,8 @@ print(json.dumps([codes, states]))
 
 
 class TestEntryPoint:
-    """``run`` alone freezes the collector, at exit; ``main`` leaves the interpreter as it was."""
+    """``run`` alone disables the collector and ends the process with ``os._exit``;
+    ``main`` leaves the interpreter as it was."""
 
     def test_import_and_main_keep_the_collector_state(self, tmp_path):
         proc = subprocess.run(
@@ -857,16 +870,43 @@ class TestEntryPoint:
             (["compare", "--base", "1000000.5,1000000.5"], 5),
         ],
     )
-    def test_run_passes_the_exit_code_through(self, capsys, monkeypatch, argv, code):
-        # the freeze is recorded, not made, so this test process keeps its collector state
+    def test_run_disables_the_collector_flushes_and_exits(self, capsys, monkeypatch, argv, code):
+        # the collector calls, the flushes and the exit are recorded, not made (the flushes are
+        # passed on), so this test process keeps its collector state and goes on running
         events = []
         real_main = cli.main
         monkeypatch.setattr(cli, "main", lambda: events.append("main") or real_main())
+        monkeypatch.setattr(gc, "disable", lambda: events.append("disable"))
         monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(os, "_exit", lambda status: events.append(("_exit", status)))
+        for name in ("stdout", "stderr"):
+            stream = getattr(sys, name)
+            flush = stream.flush
+            monkeypatch.setattr(stream, "flush", lambda n=name, f=flush: events.append(n) or f())
         monkeypatch.setattr(sys, "argv", ["altbase", *argv])
-        assert cli.run() == code
-        assert events == ["main", "freeze"]
+        cli.run()
+        assert events == ["disable", "main", "stdout", "stderr", ("_exit", code)]
         assert capsys.readouterr().err.startswith("error:") == (code != 0)
+
+    def test_unexpected_error_prints_its_traceback_and_exits_1(self, tmp_path):
+        # a fault that is no AltBaseError reaches the interpreter, which reports it
+        probe = (
+            "import sys\n"
+            "from altbase import cli, core\n"
+            "def entropy(base):\n"
+            "    raise RuntimeError('not an AltBaseError')\n"
+            "core.entropy = entropy\n"
+            "sys.argv = ['altbase', 'entropy', '--base', '2']\n"
+            "cli.run()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], cwd=tmp_path, env=_child_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("Traceback (most recent call last):\n")
+        assert "in cmd_entropy" in proc.stderr
+        assert proc.stderr.endswith("RuntimeError: not an AltBaseError\n")
 
     def test_console_script_is_the_entry_point(self):
         tomllib = pytest.importorskip("tomllib")
@@ -903,3 +943,105 @@ class TestEntryPoint:
         assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(len(rows) - 1))
         assert all(len(row.split(",")) == 4 for row in rows[1:])
         assert len(rows) - 1 <= steps
+
+
+# For each command: an argv it accepts, an int option and a choices option (None where the
+# command has none). A usage error drops --base or spoils one option.
+PARSER_FORMS = {
+    "expand": (["--base", "2", "--x", "0.3"], "--digits", "--mode"),
+    "density": (["--base", "2"], "--samples", None),
+    "measure": (["--base", "2", "--interval", "0,1"], "--slot", None),
+    "freq": (["--base", "2", "--digit", "0"], "--seed", None),
+    "entropy": (["--base", "2"], None, None),
+    "compare": (["--base", "2"], None, None),
+    "orbit": (["--base", "2", "--x", "0.3"], "--steps", "--mode"),
+    "graph": (["--base", "2", "--csv", "g.csv"], "--samples", "--mode"),
+}
+
+
+def _parser_argvs() -> dict[str, list[str]]:
+    argvs = {"top --help": ["--help"], "top no arguments": [], "top unknown command": ["plot"]}
+    for command, (valid, int_option, choices_option) in PARSER_FORMS.items():
+        argvs[f"{command} --help"] = [command, "--help"]
+        argvs[f"{command} missing --base"] = [command, *valid[2:]]
+        if int_option:
+            argvs[f"{command} bad int"] = [command, *valid, int_option, "many"]
+        if choices_option:
+            argvs[f"{command} bad choice"] = [command, *valid, choices_option, "sideways"]
+        argvs[f"{command} unknown option"] = [command, *valid, "--bogus", "1"]
+    return argvs
+
+
+PARSER_ARGVS = _parser_argvs()
+
+
+class TestSingleCommandParser:
+    """``main`` builds only the named command's subparser, and prints the full parser's bytes."""
+
+    @staticmethod
+    def _outcome(capsys, parse, argv):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        out = capsys.readouterr()
+        return info.value.code, out.out, out.err
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS.values(), ids=PARSER_ARGVS)
+    def test_help_and_usage_errors_match_the_full_parser(self, capsys, argv):
+        got = self._outcome(capsys, main, argv)
+        assert got == self._outcome(capsys, cli.build_parser().parse_args, argv)
+        assert got[0] in (0, 2) and (got[1] or got[2])
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [(["entropy", "--base", "2"], "entropy"), (["--help"], None), (["plot"], None), ([], None)],
+    )
+    def test_main_builds_the_named_command_alone(self, capsys, monkeypatch, argv, built):
+        calls = []
+        full = cli.build_parser
+        monkeypatch.setattr(
+            cli, "build_parser", lambda command=None: calls.append(command) or full(command)
+        )
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert calls == [built]
+
+
+# The child turns the collector off after importing numpy, as ``run`` does before a command
+# loads it, and prints the unreachable objects that gc.collect() finds after each run.
+_GC_GROWTH_PROBE = """
+import contextlib, gc, json, os, sys
+gc.disable()
+import numpy
+from altbase.cli import main
+
+def garbage(argv, n):
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert main([str(n) if a == "N" else a for a in argv]) == 0
+    return gc.collect()
+
+found = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    garbage(argv, 10)  # the first run imports the command's modules
+    found[name] = [garbage(argv, n) for n in (10**4, 10**5)]
+print(json.dumps(found))
+"""
+
+GC_GROWTH_FORMS = {
+    "orbit": ["orbit", "--base", BASE13, "--x", "0.3", "--steps", "N", "--json"],
+    "freq": ["freq", "--base", BASE13, "--digit", "1", "--empirical", "N"],
+    "graph": ["graph", "--base", "2.5", "--samples", "N", "--csv", "g.csv"],
+}
+
+
+def test_disabled_collector_finds_no_garbage_per_step(tmp_path):
+    # with the collector off, a reference cycle made per step would grow memory with the work
+    proc = subprocess.run(
+        [sys.executable, "-c", _GC_GROWTH_PROBE, json.dumps(GC_GROWTH_FORMS)],
+        cwd=tmp_path, env=_child_env(), capture_output=True, text=True, check=True, timeout=120,
+    )
+    found = json.loads(proc.stdout)
+    assert list(found) == list(GC_GROWTH_FORMS)
+    assert all(small == large for small, large in found.values()), found
