@@ -403,8 +403,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> NoReturn:
-    """The process entry point: ends the process with ``main()``'s exit code, 1 if stdout
-    closes early.
+    """The process entry point: ends the process with ``main()``'s exit code, or argparse's
+    status after help or a usage error, 1 if stdout closes early.
 
     The collector is off throughout, and ``os._exit`` skips the interpreter's
     finalization: when ``main`` returns, every output is written and every
@@ -418,7 +418,10 @@ def run() -> NoReturn:
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # only argparse exits, always with an int status
+            code = exc.code
         sys.stdout.flush()  # a closed pipe raises here
     except BrokenPipeError:
         # the Python docs' recipe: what stdout still buffers goes to the null device

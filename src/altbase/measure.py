@@ -28,7 +28,7 @@ SERIES_TAIL = 1e-15
 # pulled-back breakpoints this close to the last one or the branch end are that point
 MERGE_GAP = 1e-14
 # Id - S with a larger 1-norm condition number gives no trustworthy weights; it is read
-# off the weight solve when the weights are positive, else from np.linalg.cond
+# off the weight solve, whose weights must all be positive
 COND_MAX = 1e10
 # rounding in S, M terms each off by 2^-53, moves the weights by up to max(y) |S|_1 M 2^-53
 # relative; above this bound they are noise (K = 1 has cond 1, so COND_MAX cannot see it)
@@ -109,18 +109,17 @@ def compose_map(base: AlternateBase, slot: int) -> PiecewiseLinearMap:
 class DensitySpec(_Record):
     """Closed-form invariant density of a constant-slope branch-zero map.
 
-    The density is (1/C) * (d[0] + sum_j d[j] * sum_m chi_[0, orbit[j-1][m-1]]
-    / B^m), truncated at depth M.  ``thresholds``/``weights`` hold the same
-    data flattened and sorted for evaluation: the density at x is
-    (d[0] + sum of weights with threshold >= x) / C.  The K x K correction
-    matrix S that gives ``d`` is a step of the build and is not kept; it
-    follows from ``orbit``, ``c``, ``B`` and ``M``.
+    The density is (1/C) * (d[0] + sum_j d[j] * sum_m chi_[0, T_jm] / B^m),
+    T_jm the m-th orbit point of the cut c[j-1], truncated at depth M.
+    ``thresholds``/``weights`` hold its steps sorted for evaluation: the
+    density at x is (d[0] + sum of weights with threshold >= x) / C.  The
+    endpoint orbits and the correction matrix S that gives ``d`` are steps
+    of the build and are not kept; both follow from the map, ``c`` and ``M``.
     """
 
-    __slots__ = ("K", "c", "orbit", "d", "C", "B", "M", "thresholds", "weights")
+    __slots__ = ("K", "c", "d", "C", "B", "M", "thresholds", "weights")
     K: int
     c: tuple[float, ...]
-    orbit: tuple[tuple[float, ...], ...]
     d: tuple[float, ...]
     C: float
     B: float
@@ -188,11 +187,11 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     Branches whose image stops short of the codomain top contribute their
     right endpoint c_j; the truncated geometric series over the forward
     orbit of each c_j (left limits at breakpoints) yields the correction
-    matrix S, the weights d and the normalization C; S is not kept.  A map
-    with only onto branches has the constant density 1.  Weights y > 0 from
-    (Id - S)^T y = 1 give the condition number without an inverse;
-    np.linalg.cond decides otherwise.  Weights that rounding in S could move
-    by more than FORWARD_ERROR_MAX raise, whatever the condition number.
+    matrix S, the weights d and the normalization C; neither S nor the orbits
+    are kept.  A map with only onto branches has the constant density 1.  The
+    weights y of (Id - S)^T y = 1 must all be positive; they then give the
+    condition number without an inverse.  A failed solve, a nonpositive weight,
+    cond > COND_MAX or a forward error above FORWARD_ERROR_MAX raise.
     """
     B = map_.slope
     if M is None:
@@ -206,17 +205,16 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     cs = [hi for lo, hi in pairwise(map_.endpoints) if B * (hi - lo) < 1.0 - EPS_GEO]
     K = len(cs)
     if K == 0:
-        return DensitySpec(0, (), (), (1.0,), 1.0, B, M, (), ())
+        return DensitySpec(0, (), (1.0,), 1.0, B, M, (), ())
     # S, turned into Id - S in place, and LAPACK's copy of it (80 MB each at the bound),
     # then the K x M endpoint-orbit table
     check_size(K * K, "the K x K correction matrix", "entry ")
     check_size(K * M, "the K x M endpoint-orbit table", "entry ")
 
-    orbits = _endpoint_orbits(map_, cs, M)
-
     import numpy as np  # imported here so that numpy-free commands start faster
 
-    H = np.array(orbits)
+    # the orbit tuples are freed once H holds their points
+    H = np.array(_endpoint_orbits(map_, cs, M))
     powers = B ** np.arange(-1.0, -M - 0.5, -1.0)
     S = _correction_matrix(H, cs, powers)
     s_norm = np.maximum.reduce(np.add.reduce(S, axis=0))  # |S|_1, as S >= 0
@@ -226,17 +224,17 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     try:
         y = np.linalg.solve(A.T, np.ones(K))
     except np.linalg.LinAlgError:
-        cond = err = math.inf
+        cond = math.inf
     else:
-        y_max = np.maximum.reduce(y)  # ufunc reductions skip the ndarray.max/min/sum wrappers
-        err = y_max * s_norm * M * 2.0**-53
-        # y > 0 makes the Z-matrix A an M-matrix with A^-1 >= 0, so |A^-1|_1 = max(y) (NaN fails)
-        if np.minimum.reduce(y) > 0.0:
-            cond = np.maximum.reduce(np.add.reduce(np.abs(A, out=A), axis=0)) * y_max
-        else:
-            cond = np.linalg.cond(A, 1)
+        # ufunc reductions skip the ndarray.max/min/sum wrappers; NaN fails
+        if not np.minimum.reduce(y) > 0.0:
+            raise SingularSystem("a weight of Id - S came out nonpositive")
+        # y > 0 makes the Z-matrix A an M-matrix with A^-1 >= 0, so |A^-1|_1 = max(y)
+        y_max = np.maximum.reduce(y)
+        cond = np.maximum.reduce(np.add.reduce(np.abs(A, out=A), axis=0)) * y_max
     if cond > COND_MAX:
         raise SingularSystem("Id - S is singular or too ill-conditioned")
+    err = y_max * s_norm * M * 2.0**-53
     if err > FORWARD_ERROR_MAX:
         raise SingularSystem(f"rounding in S may move the weights by {err:.3g} relative")
     dtail = y.tolist()
@@ -253,9 +251,7 @@ def gora_density(map_: PiecewiseLinearMap, M: int | None = None) -> DensitySpec:
     np.multiply(W, T, out=W)
     W[0] += 1.0
     C = float(np.add.accumulate(W, out=W)[-1])
-    if C <= 0.0:
-        raise SingularSystem(f"normalization constant came out nonpositive ({C!r})")
-    return DensitySpec(K, tuple(cs), tuple(orbits), (1.0, *dtail), C, B, M, thresholds, weights)
+    return DensitySpec(K, tuple(cs), (1.0, *dtail), C, B, M, thresholds, weights)
 
 
 def _correction_matrix(H, cs, powers):

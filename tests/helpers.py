@@ -20,16 +20,24 @@ def base_phi2():
     return new_base((PHI * PHI,))
 
 
-def correction_matrix(spec):
+def endpoint_orbits(map_, spec):
+    """The K x M endpoint-orbit table behind a DensitySpec of the map, as gora_density builds it.
+
+    A DensitySpec does not keep the table; the production kernel rebuilds
+    it from the map and the cuts and depth that the spec does keep.
+    """
+    return measure._endpoint_orbits(map_, spec.c, spec.M)
+
+
+def correction_matrix(map_, spec):
     """The K x K correction matrix S behind a DensitySpec's weights, as gora_density builds it.
 
-    A DensitySpec does not keep S; the production kernel rebuilds it from
-    the orbits (as the K x M array the build makes), cuts, slope and depth
-    that the spec does keep.
+    A DensitySpec keeps neither S nor the orbits; the production kernels
+    rebuild both from the map, the cuts, slope and depth.
     """
     import numpy as np
 
-    H = np.array(spec.orbit)
+    H = np.array(endpoint_orbits(map_, spec))
     return measure._correction_matrix(H, spec.c, spec.B ** -np.arange(1, spec.M + 1))
 
 

@@ -14,9 +14,9 @@ dedup loop digit_set_reference and suffix_min_reference.  The endpoint
 orbits of the density take one _modified_step call (two snaps by
 snap_to_breakpoints_reference, three bisects) per point, and
 gora_density_reference builds the whole DensitySpec around them, with its
-normalisation indexed per entry, and returns its correction matrix S beside
-the spec, which does not keep it.  The greedy and lazy steps are the
-one-call-per-digit versions (a StatePoint per step, every state clamped and
+normalisation indexed per entry, and returns the orbits and its correction
+matrix S beside the spec, which keeps neither.  The greedy and lazy steps
+are the one-call-per-digit versions (a StatePoint per step, every state clamped and
 checked, slots taken mod p) that the expansions, evaluate and the period
 value behind compare_transforms must equal; greedy_digit_reference is the
 one greedy digit rule that core's greedy loop and the orbit statistics
@@ -257,7 +257,8 @@ def endpoint_orbits_reference(map_, cs, M):
 
 
 def gora_density_reference(map_, M=None):
-    """(spec, S): the DensitySpec of the map and the correction matrix behind its weights."""
+    """(spec, orbits, S): the DensitySpec of the map, and the endpoint orbits and the
+    correction matrix behind its weights, which the spec does not keep."""
     B = map_.slope
     if M is None:
         M = default_truncation(B)
@@ -270,14 +271,20 @@ def gora_density_reference(map_, M=None):
     cs = [e for e, top in zip(map_.endpoints[1:], branch_image_tops(map_)) if top < 1.0 - EPS_GEO]
     K = len(cs)
     if K == 0:
-        return DensitySpec(0, (), (), (1.0,), 1.0, B, M, (), ()), np.zeros((0, 0))
+        return DensitySpec(0, (), (1.0,), 1.0, B, M, (), ()), [], np.zeros((0, 0))
     orbits = endpoint_orbits_reference(map_, cs, M)
     powers = B ** -np.arange(1, M + 1)
     S = _correction_matrix(np.array(orbits), cs, powers)
     A = np.eye(K) - S
+    try:
+        dtail = np.linalg.solve(A.T, np.ones(K))
+    except np.linalg.LinAlgError:
+        raise SingularSystem("Id - S is singular or too ill-conditioned") from None
+    # the density is equivalent to Lebesgue measure, so every weight is positive
+    if not dtail.min() > 0.0:
+        raise SingularSystem("a weight of Id - S came out nonpositive")
     if np.linalg.cond(A, 1) > COND_MAX:
         raise SingularSystem("Id - S is singular or too ill-conditioned")
-    dtail = np.linalg.solve(A.T, np.ones(K))
     err = dtail.max() * np.linalg.norm(S, 1) * M * 2.0**-53
     if err > FORWARD_ERROR_MAX:
         raise SingularSystem(f"rounding in S may move the weights by {err:.3g} relative")
@@ -296,9 +303,7 @@ def gora_density_reference(map_, M=None):
     order = np.argsort(thresholds)
     thresholds = tuple(float(thresholds[k]) for k in order)
     weights = tuple(float(weights[k]) for k in order)
-    if C <= 0.0:
-        raise SingularSystem(f"normalization constant came out nonpositive ({C!r})")
-    return DensitySpec(K, tuple(cs), tuple(orbits), d, C, B, M, thresholds, weights), S
+    return DensitySpec(K, tuple(cs), d, C, B, M, thresholds, weights), orbits, S
 
 
 def _compose_reference(outer, inner):

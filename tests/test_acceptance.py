@@ -67,10 +67,11 @@ def test_criterion_02_boundary_values():
 
 def test_criterion_03_gora_example():
     b = base13()
-    spec = gora_density(compose_map(b, 0))
+    m = compose_map(b, 0)
+    spec = gora_density(m)
     b0 = b.betas[0]
     ok = spec.K == 3
-    ok = ok and max((abs(v) for row in correction_matrix(spec) for v in row), default=0.0) < 1e-15
+    ok = ok and max((abs(v) for row in correction_matrix(m, spec) for v in row), default=0.0) < 1e-15
     ok = ok and all(abs(dv - 1.0) < 1e-12 for dv in spec.d)
     ok = ok and abs(spec.C - (1 + 3 / b0**2)) < 1e-12
     got = measure_interval(spec, 0.0, 1 / b0)

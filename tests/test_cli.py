@@ -847,9 +847,33 @@ print(json.dumps([codes, states]))
 """
 
 
+# The child ends through ``run`` with an exit handler registered, which only the
+# interpreter's finalization would call.
+_FINALIZATION_PROBE = """
+import atexit, sys
+from altbase import cli
+atexit.register(lambda: sys.stderr.write("finalized\\n"))
+sys.argv = ["altbase", *sys.argv[1:]]
+cli.run()
+"""
+
+
 class TestEntryPoint:
     """``run`` alone disables the collector and ends the process with ``os._exit``;
     ``main`` leaves the interpreter as it was."""
+
+    @pytest.mark.parametrize("argv", [["expand", "--help"], ["expand", "--base", "2"]])
+    def test_help_and_usage_errors_skip_finalization(self, capsys, tmp_path, argv):
+        # argparse leaves main by SystemExit; run ends the process with its status and bytes
+        proc = subprocess.run(
+            [sys.executable, "-c", _FINALIZATION_PROBE, *argv], cwd=tmp_path, env=_child_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (info.value.code, out.out, out.err)
+        assert info.value.code == (0 if "--help" in argv else 2)
 
     def test_import_and_main_keep_the_collector_state(self, tmp_path):
         proc = subprocess.run(

@@ -722,10 +722,9 @@ RECORDS = [
      "DigitWord(digits=(1, 0, 2), base_offset=1)"),
     (PiecewiseLinearMap, ("endpoints", "slope"), ((0.0, 0.5, 1.0), 2.0),
      "PiecewiseLinearMap(endpoints=(0.0, 0.5, 1.0), slope=2.0)"),
-    (DensitySpec, ("K", "c", "orbit", "d", "C", "B", "M", "thresholds", "weights"),
-     (0, (), (), (1.0,), 1.0, 2.0, 51, (), ()),
-     "DensitySpec(K=0, c=(), orbit=(), d=(1.0,), C=1.0, B=2.0, M=51, thresholds=(),"
-     " weights=())"),
+    (DensitySpec, ("K", "c", "d", "C", "B", "M", "thresholds", "weights"),
+     (0, (), (1.0,), 1.0, 2.0, 51, (), ()),
+     "DensitySpec(K=0, c=(), d=(1.0,), C=1.0, B=2.0, M=51, thresholds=(), weights=())"),
     (IntervalMeasureQuery, ("slot", "a", "b"), (1, 0.25, 0.75),
      "IntervalMeasureQuery(slot=1, a=0.25, b=0.75)"),
     (TupleSearchResult, ("digits", "value"), ((1, 0), 0.5),

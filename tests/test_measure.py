@@ -45,6 +45,7 @@ from helpers import (
     base13,
     base_phi2,
     correction_matrix,
+    endpoint_orbits,
     randint,
     random_base,
 )
@@ -162,17 +163,18 @@ class TestComposeMap:
 class TestGoraDensity:
     def test_sqrt13_slot0(self):
         b = base13()
-        spec = gora_density(compose_map(b, 0))
+        m = compose_map(b, 0)
+        spec = gora_density(m)
         b0 = b.betas[0]
         assert spec.K == 3
         assert spec.c == pytest.approx((1 / b0, 2 / b0, 1.0), abs=1e-12)
-        assert max(abs(v) for row in correction_matrix(spec) for v in row) < 1e-15
+        assert max(abs(v) for row in correction_matrix(m, spec) for v in row) < 1e-15
         assert spec.d == pytest.approx((1.0, 1.0, 1.0, 1.0), abs=1e-12)
         assert spec.C == pytest.approx(1 + 3 / b0**2, abs=1e-12)
 
     def test_onto_map_is_uniform(self):
         spec = gora_density(compose_map(new_base((2,)), 0))
-        assert (spec.K, spec.c, spec.orbit) == (0, (), ())
+        assert (spec.K, spec.c, spec.thresholds) == (0, (), ())
         assert spec.C == 1.0
         assert density_eval(spec, 0.7321) == 1.0
 
@@ -270,8 +272,9 @@ class TestGoraDensity:
     def test_weight_solve_residual(self):
         rng = SplitMix64(29)
         for _ in range(20):
-            spec = gora_density(compose_map(random_base(rng, pmax=4), 0))
-            S = correction_matrix(spec)
+            m = compose_map(random_base(rng, pmax=4), 0)
+            spec = gora_density(m)
+            S = correction_matrix(m, spec)
             for row in S:
                 for entry in row:
                     assert 0.0 <= entry <= 1 / (spec.B - 1)
@@ -538,7 +541,7 @@ class TestLookupsMatchSearchsorted:
     def test_duplicated_thresholds(self):
         t = (0.0, 0.25, 0.5, 0.5, 0.5, 0.75, 0.75)
         w = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125)
-        spec = DensitySpec(1, (0.5,), (t,), (1.0, 1.0), 1.7, 2.0, len(t), t, w)
+        spec = DensitySpec(1, (0.5,), (1.0, 1.0), 1.7, 2.0, len(t), t, w)
         pts = _with_neighbours(t + (1.0,))
         for x in pts:
             if 0.0 <= x < 1.0:
@@ -589,8 +592,8 @@ class TestCorrectionMatrix:
         for slot in range(base.p):
             m = compose_map(base, slot)
             spec = gora_density(m)
-            S = correction_matrix(spec)
-            ref = correction_matrix_reference(spec.orbit, spec.c, spec.B, spec.M)
+            S = correction_matrix(m, spec)
+            ref = correction_matrix_reference(endpoint_orbits(m, spec), spec.c, spec.B, spec.M)
             assert S.shape == ref.shape == (spec.K, spec.K) and S.tobytes() == ref.tobytes()
             # the build turns its S into Id - S in place, so it gets a copy
             with monkeypatch.context() as mp:
@@ -603,28 +606,33 @@ class TestCorrectionMatrix:
     def test_cuts_on_orbit_points(self, text):
         # a rank taken with the wrong side differs only where a cut equals an orbit point
         base = new_base(parse_base_list(text))
-        specs = slot_densities(base)
-        assert any(c in orbit for s in specs for orbit in s.orbit for c in s.c)
+        found = False
+        for slot in range(base.p):
+            m = compose_map(base, slot)
+            spec = gora_density(m)
+            found |= any(c in orbit for orbit in endpoint_orbits(m, spec) for c in spec.c)
+        assert found
 
 
 def _float_bits(values):
     return tuple(float(v).hex() for v in values)
 
 
-def _spec_bits(spec, S):
-    """Every field of a DensitySpec, floats as hex, then S as its shape and entries."""
+def _spec_bits(spec, orbits, S):
+    """Every field of a DensitySpec, floats as hex, then the orbits, then S as its shape and
+    entries."""
     return (
-        spec.K, spec.M, spec.B.hex(), spec.C.hex(), _float_bits(spec.c),
-        tuple(_float_bits(o) for o in spec.orbit), _float_bits(spec.d),
-        _float_bits(spec.thresholds), _float_bits(spec.weights), S.shape, _float_bits(S.ravel()),
+        spec.K, spec.M, spec.B.hex(), spec.C.hex(), _float_bits(spec.c), _float_bits(spec.d),
+        _float_bits(spec.thresholds), _float_bits(spec.weights),
+        tuple(_float_bits(o) for o in orbits), S.shape, _float_bits(S.ravel()),
     )
 
 
 def _with_matrix(m, M=None):
-    """gora_density's spec and the S that helpers.correction_matrix rebuilds for it, as the
+    """gora_density's spec and the orbits and S that the helpers rebuild for it, as the
     reference returns them."""
     spec = gora_density(m, M)
-    return spec, correction_matrix(spec)
+    return spec, endpoint_orbits(m, spec), correction_matrix(m, spec)
 
 
 def _density_outcome(build, m, M):
@@ -712,7 +720,7 @@ class TestEndpointOrbitsMatchReference:
         # the case above with land = 7e-10: 0.5 + 7e-10 lies within EPS_GEO of both breakpoints
         # and snaps onto the upper one; the step from there snaps again, onto 0.5
         m = _close_breakpoint_map(5e-10, 7e-10)
-        assert gora_density(m).orbit[-2][:3] == (m.endpoints[3], 0.5, 0.5)
+        assert endpoint_orbits(m, gora_density(m))[-2][:3] == (m.endpoints[3], 0.5, 0.5)
 
     def test_snap_between_close_breakpoints(self):
         # a chain of three breakpoints, each within EPS_GEO of the next, and one within EPS_GEO
@@ -727,7 +735,7 @@ class TestEndpointOrbitsMatchReference:
     def test_points_past_the_last_breakpoint(self):
         # a branch wider than 1/slope maps past 1, where branch_of clamps to the last branch
         m = PiecewiseLinearMap((0.0, 0.3, 1.0), 2.5)
-        assert gora_density(m).orbit[0][:3] == (0.75, 1.125, 2.0625)
+        assert endpoint_orbits(m, gora_density(m))[0][:3] == (0.75, 1.125, 2.0625)
         _assert_matches_reference(m)
 
     def test_equal_first_points_give_equal_rows(self):
@@ -736,9 +744,10 @@ class TestEndpointOrbitsMatchReference:
         bases = [new_base(parse_base_list(t)) for t in cli_golden.BASES]
         repeated = 0
         for base in bases + list(_orbit_random_bases().values()):
-            for spec in slot_densities(base):
+            for slot in range(base.p):
+                m = compose_map(base, slot)
                 first = {}
-                for row in spec.orbit:
+                for row in endpoint_orbits(m, gora_density(m)):
                     repeated += row[0] in first
                     assert first.setdefault(row[0], row) == row
         assert repeated > 0
@@ -759,7 +768,7 @@ class TestEndpointOrbitsMatchReference:
     def test_orbit_returns_to_its_own_cut(self, M):
         m = _returning_map()
         assert _cuts(m) == [0.8, 1.0]
-        orbit = gora_density(m, M).orbit[0]
+        orbit = endpoint_orbits(m, gora_density(m, M))[0]
         assert orbit[3] == 0.8 and orbit[4:8] == orbit[:4]
         _assert_matches_reference(m, M)
 
@@ -915,8 +924,9 @@ class TestOrbitOfOneDensity:
         # stays there and the density is flat; the exact orbit of 1 grows from 1.5e-12 instead,
         # and the two differ by up to 3.9e-9 relative near 0 (ROADMAP item 5)
         base = new_base(parse_base_list("3+1.5e-12"))
-        (spec,) = slot_densities(base)
-        assert spec.K == 1 and set(spec.orbit[0]) == {compose_map(base, 0).endpoints[3]}
+        m = compose_map(base, 0)
+        spec = gora_density(m)
+        assert spec.K == 1 and set(endpoint_orbits(m, spec)[0]) == {m.endpoints[3]}
         assert len({density_eval(spec, (k + 0.5) / GRID) for k in range(GRID)}) == 1
 
 
@@ -1056,7 +1066,7 @@ class TestConditionCertificate:
                 if spec.K == 0:
                     continue
                 y = np.array(spec.d[1:])
-                A = np.eye(spec.K) - correction_matrix(spec)
+                A = np.eye(spec.K) - correction_matrix(compose_map(base, slot), spec)
                 assert y.min() > 0.0, (text, slot)
                 cond = np.linalg.norm(A, 1) * y.max()
                 assert cond == pytest.approx(np.linalg.cond(A, 1), rel=CERTIFICATE_REL), (text, slot)
@@ -1076,56 +1086,80 @@ class TestConditionCertificate:
         assert [_density_outcome(_with_matrix, m, None) for m in maps] == expected
 
 
+def _near_integer_random_bases():
+    """60 seeded random bases of periods 1 to 6, each with one component 1e-9 to 1e-4 from 2
+    or 3, on either side."""
+    rng = SplitMix64(47)
+    bases = []
+    for k in range(60):
+        p = 1 + k % 6
+        betas = list(random_base(rng, p, p, hi=RANDOM_HI[p]).betas)
+        near = randint(rng, 2, 3) + (-1) ** randint(rng, 0, 1) * 10.0 ** -rng.uniform(4.0, 9.0)
+        betas[randint(rng, 0, p - 1)] = near
+        bases.append((f"near{k:02d}-p{p}", new_base(betas)))
+    return bases
+
+
+class TestPositiveWeights:
+    """Every weight d[1:] is positive, as the density is equivalent to Lebesgue measure (Góra
+    2009); gora_density's condition certificate rests on it and raises without it."""
+
+    def test_every_weight_is_positive(self):
+        # the weights are solved here apart from the build, whose own check would raise
+        checked = 0
+        for text, base in _certificate_bases() + _near_integer_random_bases():
+            for slot, spec in enumerate(slot_densities(base)):
+                if spec.K == 0:
+                    continue
+                S = correction_matrix(compose_map(base, slot), spec)
+                y = np.linalg.solve((np.eye(spec.K) - S).T, np.ones(spec.K))
+                assert y.min() > 0.0, (text, slot)
+                assert spec.d[1:] == tuple(y.tolist()), (text, slot)
+                checked += 1
+        assert checked > 1000
+
+
 # slot 1 of 2.000000001,1.5 has K = 2 cuts
 K2_MAP = compose_map(new_base((2.000000001, 1.5)), 1)
 
 
-def _outcomes_with_matrix(monkeypatch, S, cond_calls):
+def _outcomes_with_matrix(monkeypatch, S):
     """_density_outcome of the reference and of gora_density on K2_MAP with S in place of
-    the correction matrix; cond_calls counts gora_density's np.linalg.cond calls."""
+    the correction matrix; gora_density may not call np.linalg.cond."""
     assert len(_cuts(K2_MAP)) == len(S) == 2
 
     def patch(H, cs, powers):
         return S.copy()  # gora_density overwrites its S
 
+    def refuse(*args):
+        raise AssertionError("the weight solve certifies the condition number")
+
     monkeypatch.setattr(measure, "_correction_matrix", patch)
     monkeypatch.setattr(reference, "_correction_matrix", patch)
     expected = _density_outcome(gora_density_reference, K2_MAP, None)
-    cond = np.linalg.cond
-
-    def counted(*args):
-        cond_calls.append(args)
-        return cond(*args)
-
-    monkeypatch.setattr(np.linalg, "cond", counted)
+    monkeypatch.setattr(np.linalg, "cond", refuse)
     return expected, _density_outcome(_with_matrix, K2_MAP, None)
 
 
 class TestUncertifiedWeights:
-    """Where the solve certifies nothing, the outcome is still the reference's."""
+    """Where the solve certifies nothing, the build raises as the reference does."""
 
     def test_singular_matrix_raises_from_the_solve(self, monkeypatch):
-        calls = []
-        expected, got = _outcomes_with_matrix(monkeypatch, np.eye(2), calls)
+        expected, got = _outcomes_with_matrix(monkeypatch, np.eye(2))
         assert got == expected == ("SingularSystem", "Id - S is singular or too ill-conditioned")
-        assert calls == []
 
-    def test_negative_weights_take_np_linalg_cond(self, monkeypatch):
-        # spectral radius 2: the weights solve to -1, -1 and np.linalg.cond decides (it is 3)
-        calls = []
-        expected, got = _outcomes_with_matrix(monkeypatch, np.array([[0.0, 2.0], [2.0, 0.0]]), calls)
-        assert got == expected
-        assert len(calls) == 1
+    def test_negative_weights_raise(self, monkeypatch):
+        # spectral radius 2: the weights solve to -1, -1, though cond_1(Id - S) is only 3
+        expected, got = _outcomes_with_matrix(monkeypatch, np.array([[0.0, 2.0], [2.0, 0.0]]))
+        assert got == expected == ("SingularSystem", "a weight of Id - S came out nonpositive")
 
     @pytest.mark.parametrize("eps, raises", [(1e-9, False), (1e-10, True)])
     def test_certified_condition_number_on_either_side_of_cond_max(self, monkeypatch, eps, raises):
         # the weights solve to about 1/eps each, so the condition number is about 2/eps
-        calls = []
         S = np.array([[0.0, 1.0 - eps], [1.0 - eps, 0.0]])
-        expected, got = _outcomes_with_matrix(monkeypatch, S, calls)
+        expected, got = _outcomes_with_matrix(monkeypatch, S)
         assert got == expected
         assert (got[0] == "SingularSystem") == raises
-        assert calls == []
 
 
 def _lazy_frequency(base, a):
@@ -1201,10 +1235,13 @@ class TestCorrectionMatrixStorage:
     """A DensitySpec keeps no K x K array; tests rebuild S with helpers.correction_matrix."""
 
     def test_spec_holds_no_matrix(self):
-        spec = gora_density(compose_map(new_base((1.3, 2.7, 1.9, 3.4, 1.15)), 0))
-        assert spec.K > 0 and "S" not in DensitySpec._fields
+        m = compose_map(new_base((1.3, 2.7, 1.9, 3.4, 1.15)), 0)
+        spec = gora_density(m)
+        # the step density alone: neither S nor the K x M endpoint-orbit table
+        assert DensitySpec._fields == ("K", "c", "d", "C", "B", "M", "thresholds", "weights")
+        assert spec.K > 0
         assert all(type(getattr(spec, name)) in (int, float, tuple) for name in DensitySpec._fields)
-        S = correction_matrix(spec)
+        S = correction_matrix(m, spec)
         assert (S.ndim, S.dtype, S.shape) == (2, np.float64, (spec.K, spec.K))
 
     def test_separate_builds_equal_and_hash_equal(self):
@@ -1220,7 +1257,7 @@ class TestCorrectionMatrixStorage:
         twin = DensitySpec(**values)
         assert twin == spec and hash(twin) == hash(spec)
         changed = {
-            "K": spec.K + 1, "c": spec.c[1:], "orbit": spec.orbit[1:], "d": spec.d[1:],
+            "K": spec.K + 1, "c": spec.c[1:], "d": spec.d[1:],
             "C": spec.C * 2, "B": spec.B * 2, "M": spec.M + 1,
             "thresholds": spec.thresholds[1:], "weights": spec.weights[1:],
         }
@@ -1236,9 +1273,9 @@ PHI_SINGULAR_MAP = PiecewiseLinearMap((0.0, 1 - 1 / PHI, 1.0), PHI)
 FORWARD_ERROR_SEEN = 1e-12
 
 
-def _forward_error(spec):
+def _forward_error(m, spec):
     """max(y) |S|_1 M 2^-53, the bound gora_density checks against FORWARD_ERROR_MAX."""
-    return max(spec.d[1:]) * np.linalg.norm(correction_matrix(spec), 1) * spec.M * 2.0**-53
+    return max(spec.d[1:]) * np.linalg.norm(correction_matrix(m, spec), 1) * spec.M * 2.0**-53
 
 
 class TestForwardErrorGate:
@@ -1251,18 +1288,17 @@ class TestForwardErrorGate:
         assert SingularSystem.exit_code == 4
 
     def test_real_bases_stay_far_below_the_gate(self):
-        bounds = [
-            _forward_error(spec)
-            for _, base in _certificate_bases()
-            for spec in slot_densities(base)
-            if spec.K
-        ]
+        bounds = []
+        for _, base in _certificate_bases():
+            for slot, spec in enumerate(slot_densities(base)):
+                if spec.K:
+                    bounds.append(_forward_error(compose_map(base, slot), spec))
         assert len(bounds) > 900
         assert max(bounds) < FORWARD_ERROR_SEEN < measure.FORWARD_ERROR_MAX
 
     def test_gate_compares_the_bound(self, monkeypatch):
         m = compose_map(base13(), 1)
-        bound = _forward_error(gora_density(m))
+        bound = _forward_error(m, gora_density(m))
         monkeypatch.setattr(measure, "FORWARD_ERROR_MAX", bound)
         gora_density(m)
         monkeypatch.setattr(measure, "FORWARD_ERROR_MAX", bound * (1 - 1e-9))
@@ -1270,10 +1306,10 @@ class TestForwardErrorGate:
             gora_density(m)
 
 
-def _left_to_right_normalisation(spec):
+def _left_to_right_normalisation(m, spec):
     """1 plus every weight times its threshold, added one at a time in (j, m) order."""
     powers = spec.B ** -np.arange(1, spec.M + 1)
-    T = np.minimum(spec.orbit, 1.0).ravel()
+    T = np.minimum(endpoint_orbits(m, spec), 1.0).ravel()
     W = np.multiply.outer(spec.d[1:], powers).ravel()
     C = 1.0
     for v in (W * T).tolist():
@@ -1287,8 +1323,8 @@ class TestNormalisationSum:
     def test_matches_the_left_to_right_loop(self):
         checked = 0
         for _, base in BITWISE_BASES:
-            for spec in slot_densities(base):
-                assert spec.C.hex() == _left_to_right_normalisation(spec).hex()
+            for slot, spec in enumerate(slot_densities(base)):
+                assert spec.C.hex() == _left_to_right_normalisation(compose_map(base, slot), spec).hex()
                 checked += spec.K > 0
         assert checked > 100
 
@@ -1319,13 +1355,25 @@ PERIOD8 = (1.3, 2.7, 1.9, 3.4, 1.15, 2.2, 1.7, 2.9)
 
 
 class TestBuildMemory:
-    """A build holds Id - S and LAPACK's copy at most, and a spec holds no K x K array."""
+    """A build holds Id - S and LAPACK's copy at most, and a spec holds no K x K array and no
+    endpoint-orbit table."""
 
     def test_period8_specs_hold_under_2_mib(self):
         slot_densities(new_base((1.5, 2.5)))  # loads what a first build loads
         specs, held, _ = _traced(lambda: slot_densities(new_base(PERIOD8)))
         assert sum(s.K**2 for s in specs) == 386526
         assert held < 2 * 2**20
+
+    def test_deep_k1_build_holds_two_float_tuples_per_point(self):
+        # the thresholds and weights take a tuple slot and a float object each, 2 * (8 + 24) B
+        # a point; a spec that kept the orbit table too would hold 96 B and peak at 136 B
+        M = 10**5
+        m = compose_map(new_base((2.5,)), 0)
+        gora_density(compose_map(new_base((1.5, 2.5)), 0))  # loads what a first build loads
+        spec, held, peak = _traced(lambda: gora_density(m, M))
+        assert (spec.K, len(spec.thresholds)) == (1, M)
+        assert held <= 64 * M + 2**16
+        assert peak < 120 * M
 
     def test_one_build_peaks_under_two_matrices(self):
         m = compose_map(new_base(PERIOD8), 5)
